@@ -3,19 +3,29 @@
 Angles are exact rationals reduced mod 1 before any float conversion, so grid
 sums built from these values only carry double-precision rounding noise, never
 angle drift.
+
+Characters use an exact integer residue kernel.  With D the lcm of the
+denominators of gram_weights, G = D * gram_weights, d_x the lcm of the
+coordinate denominators of x and N = D * d_x, the integer vector
+h_w = w.action^T G (d_x x) gives (w a | x) = (a . h_w) / N for every integral
+weight a, so the angle reduced mod 1 is r / N with r = (a . h_w) mod N.  Both
+r / N and float(Fraction) are correctly rounded values of the same rational,
+so phases, and with the sum order kept characters, are bitwise identical to
+the Fraction path of eval_exp.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import lcm
+from operator import mul
 
 from . import intlinalg, weyl
 from .rootdata import (RootSystem, TorusPoint, Weight, inner, lattice_index,
                        weights_at_level)
-
-DEFAULT_TOL = 1e-9
 
 GRID_SHIFTED = "shifted"
 GRID_FULL = "full"
@@ -61,6 +71,62 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     return int(num)
 
 
+# -- integer residue kernel -----------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _integer_form(rs: RootSystem):
+    """(D, G, roots): G = D * gram_weights and the positive roots, as integers."""
+    d = lcm(*(c.denominator for row in rs.gram_weights for c in row))
+    gram = tuple(tuple(int(c * d) for c in row) for row in rs.gram_weights)
+    roots = tuple(tuple(int(c) for c in alpha.coords) for alpha in rs.positive_roots)
+    return d, gram, roots
+
+
+def _residues(rs: RootSystem, x: TorusPoint):
+    """(N, [(sign, h_w)] in Weyl order) with (w a | x) = (a . h_w) / N.
+
+    The list is None when some positive root has an integer pairing with x.
+    """
+    d, gram, roots = _integer_form(rs)
+    dx = lcm(*(c.denominator for c in x.mu_star.coords))
+    v = [sum(g * int(c * dx) for g, c in zip(row, x.mu_star.coords)) for row in gram]
+    n = d * dx
+    if any(sum(map(mul, alpha, v)) % n == 0 for alpha in roots):
+        return n, None
+    cols = range(len(v))
+    return n, [(w.sign, [sum(row[j] * vi for row, vi in zip(w.action, v)) for j in cols])
+               for w in weyl.enumerate_weyl(rs)]
+
+
+def characters(rs: RootSystem, lams, x: TorusPoint) -> list[complex | None]:
+    """Characters of the dominant integral weights lams at x, in order.
+
+    Regular x: alternating-sum quotient, the denominator (the rho entry)
+    computed once.  x = 0: dimension formula.  Any other singular x: None.
+    """
+    if not all(lam.is_dominant and lam.is_integral for lam in lams):
+        raise ValueError("highest weight must be dominant integral")
+    if x.is_zero:
+        return [complex(weyl_dimension(rs, lam)) for lam in lams]
+    n, hs = _residues(rs, x)
+    if hs is None:
+        return [None] * len(lams)
+
+    @lru_cache(maxsize=None)
+    def phase(r: int) -> complex:
+        return cmath.exp(2j * cmath.pi * (r / n))
+
+    def alternating_sum(a: Weight) -> complex:
+        a = [int(c) for c in a.coords]
+        total = 0j
+        for sign, h in hs:
+            total += sign * phase(sum(map(mul, a, h)) % n)
+        return total
+
+    den = alternating_sum(rs.rho)
+    return [alternating_sum(lam + rs.rho) / den for lam in lams]
+
+
 def character(rs: RootSystem, lam: Weight, x: TorusPoint) -> complex:
     """Irreducible character with highest weight lam at x.
 
@@ -68,19 +134,10 @@ def character(rs: RootSystem, lam: Weight, x: TorusPoint) -> complex:
     Any other non-regular point raises SingularPointError; callers are
     expected to use shifted grid points, which are always regular.
     """
-    if not (lam.is_dominant and lam.is_integral):
-        raise ValueError("highest weight must be dominant integral")
-    if x.is_zero:
-        return complex(weyl_dimension(rs, lam))
-    if not is_regular(rs, x):
+    value = characters(rs, [lam], x)[0]
+    if value is None:
         raise SingularPointError("character quotient undefined at a singular point")
-    num = 0j
-    den = 0j
-    shifted = lam + rs.rho
-    for w in weyl.enumerate_weyl(rs):
-        num += w.sign * eval_exp(rs, weyl.act(w, shifted), x)
-        den += w.sign * eval_exp(rs, weyl.act(w, rs.rho), x)
-    return num / den
+    return value
 
 
 def localization_sum(rs: RootSystem, lam: Weight, x: TorusPoint) -> complex:

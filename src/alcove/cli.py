@@ -75,7 +75,10 @@ def _parse_weight(rs, text: str):
 
 
 def _parse_point(rs, text: str) -> TorusPoint:
-    coords = [Fraction(x) for x in text.split(",")]
+    try:
+        coords = [Fraction(x) for x in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise ConfigurationError(f"point {text!r} needs rational coordinates") from None
     if len(coords) != rs.rank:
         raise ConfigurationError(f"point needs {rs.rank} coordinates")
     return TorusPoint(rs.weight_from_coords(coords))
@@ -123,11 +126,7 @@ def cmd_char(cfg: RunConfig, weight_text: str, point_text: str) -> int:
     rs = rootdata.build_root_system(cfg.series, cfg.rank)
     lam = _parse_weight(rs, weight_text)
     x = _parse_point(rs, point_text)
-    try:
-        value = chareval.character(rs, lam, x)
-    except chareval.SingularPointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    value = chareval.character(rs, lam, x)
     _emit(cfg, {"schema": "alcove/char/v1", "weight": _weight_label(lam),
                 "point": [str(c) for c in x.mu_star.coords],
                 "re": value.real, "im": value.imag})
@@ -136,31 +135,22 @@ def cmd_char(cfg: RunConfig, weight_text: str, point_text: str) -> int:
 
 def cmd_grid(cfg: RunConfig) -> int:
     rs = rootdata.build_root_system(cfg.series, cfg.rank)
-    mode = cfg.grid_mode or conventions.FROZEN.grid_mode
-    grid = chareval.special_grid(rs, cfg.level, mode)
-    lams = rootdata.weights_at_level(rs, cfg.level)
-    table = []
-    for lam in lams:
-        row = []
-        for _, point in grid:
-            if point.is_zero or chareval.is_regular(rs, point):
-                row.append(chareval.character(rs, lam, point))
-            else:
-                row.append(None)  # singular point: character quotient undefined
-        table.append(row)
-    labels = [";".join(str(c) for c in p.mu_star.coords) for _, p in grid]
+    table = conventions.character_table(rs, cfg.level, cfg.grid_mode)
+    lams, rows = table.weights, table.values
+    points = [[str(c) for c in p.mu_star.coords] for p in table.points]
+    labels = [";".join(p) for p in points]
     payload = {
         "schema": "alcove/grid/v1",
-        "system": f"{cfg.series}{cfg.rank}", "level": cfg.level, "grid_mode": mode,
-        "points": [[str(c) for c in p.mu_star.coords] for _, p in grid],
-        "regular": [chareval.is_regular(rs, p) for _, p in grid],
+        "system": f"{cfg.series}{cfg.rank}", "level": cfg.level, "grid_mode": table.mode,
+        "points": points,
+        "regular": list(table.regular),
         "rows": [{"weight": _weight_label(lam),
                   "values": [None if v is None else {"re": v.real, "im": v.imag}
                              for v in row]}
-                 for lam, row in zip(lams, table)],
+                 for lam, row in zip(lams, rows)],
     }
     csv_rows = [["weight"] + labels]
-    for lam, row in zip(lams, table):
+    for lam, row in zip(lams, rows):
         csv_rows.append([_weight_label(lam)] +
                         ["" if v is None else format_complex(v) for v in row])
     _emit(cfg, payload, csv_rows)
@@ -185,9 +175,6 @@ def cmd_fusion(cfg: RunConfig, pair: tuple[str, str] | None) -> int:
     except verlinde.InconsistentInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except verlinde.ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     triples.sort()
     payload = {"schema": "alcove/fusion/v1", "system": f"{cfg.series}{cfg.rank}",
                "level": cfg.level,
@@ -274,16 +261,12 @@ def _verify_suites(rs, cfg: RunConfig):
 
     def fusion_suite():
         table = verlinde.fusion_table(rs, cfg.level, cfg.grid_mode)
-        ws = table.weights
-        assoc_ok = True
-        for a in ws:
-            for b in ws:
-                for c in ws:
-                    for d in ws:
-                        lhs = sum(table.coefficient(a, b, e) * table.coefficient(e, c, d) for e in ws)
-                        rhs = sum(table.coefficient(b, c, e) * table.coefficient(a, e, d) for e in ws)
-                        if lhs != rhs:
-                            assoc_ok = False
+        ws, n = table.weights, table.dense
+        r = range(len(ws))
+        # (a b) c = a (b c): sum_e N_ab^e N_ec^d = sum_e N_bc^e N_ae^d
+        assoc_ok = all(sum(n[a][b][e] * n[e][c][d] for e in r)
+                       == sum(n[b][c][e] * n[a][e][d] for e in r)
+                       for a in r for b in r for c in r for d in r)
         ok = assoc_ok and table.max_residual < verlinde.INTEGRALITY_TOLERANCE
         return identities.IdentityReport("fusion", name, len(ws) ** 3, table.max_residual,
                                          verlinde.INTEGRALITY_TOLERANCE, ok,
@@ -409,6 +392,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.tolerance is not None and args.tolerance <= 0:
         print("error: tolerance must be positive", file=sys.stderr)
         return EXIT_CONFIG
+    if args.samples <= 0:
+        print("error: samples must be positive", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         if args.command == "verify":
             if (args.series is None) != (args.rank is None):
@@ -435,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fusion":
             return cmd_fusion(cfg, tuple(args.pair) if args.pair else None)
         raise AssertionError(args.command)
-    except ConfigurationError as exc:
+    except (ValueError, weyl.ResourceError) as exc:  # bad input, singular point, cap
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -16,15 +16,20 @@ records the derivation.  Summary of the frozen choices:
   exactly 2 (the |W| offset).  With fundamental weights as generators the sum
   is the product of the exponents of W instead (1, 2, 3, 5 for A1, A2, B2,
   G2) - recorded as a finding, not used.
+
+CharacterTable is the one character table on a grid (the Kac-Peterson
+S-matrix ratios S_lam,mu / S_0,mu on the shifted grid) together with this
+measure; every grid consumer reads it by position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import chareval
 from .chareval import GRID_FULL, GRID_SHIFTED
-from .rootdata import RootSystem, lattice_index
+from .rootdata import RootSystem, TorusPoint, Weight, lattice_index, weights_at_level
 from .weyl import weyl_order
 
 
@@ -58,3 +63,33 @@ def grid_measure(rs: RootSystem, k: int, mode: str | None = None,
         d = chareval.weyl_denominator(rs, point)
         out.append((label, point, (d * d.conjugate()).real * pref))
     return out
+
+
+@dataclass(frozen=True)
+class CharacterTable:
+    """Level-k characters on one grid; cached and shared, so read-only.
+
+    values[i][t] is the character of weights[i] at points[t]: the dimension
+    at the identity and None at any other singular point.  measure[t] is the
+    grid_measure weight of points[t], zero exactly at the singular points.
+    """
+
+    mode: str
+    weights: tuple[Weight, ...]
+    labels: tuple
+    points: tuple[TorusPoint, ...]
+    regular: tuple[bool, ...]
+    measure: tuple[float, ...]
+    values: list[list[complex | None]]
+
+
+@lru_cache(maxsize=64)
+def character_table(rs: RootSystem, k: int, mode: str | None = None) -> CharacterTable:
+    """The level-k character table on the grid of the given mode."""
+    mode = mode or FROZEN.grid_mode
+    labels, points, measure = zip(*grid_measure(rs, k, mode))
+    lams = tuple(weights_at_level(rs, k))
+    columns = [chareval.characters(rs, lams, p) for p in points]
+    regular = tuple(not p.is_zero and col[0] is not None for p, col in zip(points, columns))
+    return CharacterTable(mode, lams, labels, points, regular, measure,
+                          [list(row) for row in zip(*columns)])

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import chareval, conventions, weyl
-from .rootdata import RootSystem, TorusPoint, Weight, weights_at_level
+from .rootdata import RootSystem, TorusPoint, Weight
 
 PRIME_DENOMINATORS = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151,
                       157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211,
@@ -48,17 +48,6 @@ def random_rational_point(rs: RootSystem, rng: random.Random) -> TorusPoint:
     den = rng.choice(PRIME_DENOMINATORS)
     coords = [Fraction(rng.randrange(1, den), den) for _ in range(rs.rank)]
     return TorusPoint(rs.weight_from_coords(coords))
-
-
-def _sample_pole_free(rs: RootSystem, rng: random.Random, check) -> TorusPoint:
-    for _ in range(64):
-        x = random_rational_point(rs, rng)
-        try:
-            check(x)
-            return x
-        except PoleError:
-            continue
-    raise PoleError("could not find a pole-free sample point")
 
 
 # -- the vanishing double Weyl sum --------------------------------------------
@@ -182,24 +171,18 @@ def orthogonality_matrix(rs: RootSystem, k: int, grid_mode: str | None = None,
     overshoots by |W| unless orbit_correction is set.  Returns
     (weights, matrix).
     """
-    lams = weights_at_level(rs, k)
-    measure = conventions.grid_measure(rs, k, grid_mode, orbit_correction)
-    columns = []
-    for _, point, wgt in measure:
-        if wgt == 0.0:
-            columns.append([0j] * len(lams))
-        else:
-            columns.append([chareval.character(rs, lam, point) for lam in lams])
-    n = len(lams)
+    table = conventions.character_table(rs, k, grid_mode)
+    live = [(t, wgt) for t, (_, _, wgt) in
+            enumerate(conventions.grid_measure(rs, k, grid_mode, orbit_correction)) if wgt]
+    n = len(table.weights)
     matrix = [[0j] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
+    for a, row_a in enumerate(table.values):
+        for b, row_b in enumerate(table.values):
             s = 0j
-            for col, (_, _, wgt) in zip(columns, measure):
-                if wgt:
-                    s += col[b] * col[a].conjugate() * wgt
+            for t, wgt in live:
+                s += row_b[t] * row_a[t].conjugate() * wgt
             matrix[a][b] = s
-    return lams, matrix
+    return list(table.weights), matrix
 
 
 def orthogonality_suite(rs: RootSystem, k: int, grid_mode: str | None = None,

@@ -55,25 +55,6 @@ def solve(m: Mat, v) -> Vec:
     return mat_vec(mat_inverse(m), v)
 
 
-def det(m: Mat) -> Fraction:
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            result = -result
-        result *= a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / a[col][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return result
-
-
 def is_integral(v) -> bool:
     return all(Fraction(x).denominator == 1 for x in v)
 

@@ -50,13 +50,6 @@ def wall_witnesses(rs: RootSystem, face: FaceData, k: int, lam: Weight) -> list[
     return out
 
 
-def lattice_exponential_is_one(rs: RootSystem, witness: ShiftWitness, x: TorusPoint) -> bool:
-    """Exact check that (k+h^v) <nu(v), x> is an integer angle."""
-    n = witness.k + rs.dual_coxeter
-    angle = n * inner(rs, rs.coroot_to_weight_space(witness.v), x.mu_star)
-    return angle.denominator == 1
-
-
 def _side_values(rs: RootSystem, witness: ShiftWitness, x: TorusPoint) -> tuple[complex, complex]:
     if not chareval.is_regular(rs, x):
         raise PoleError("denominator factor vanishes at the sample point")

@@ -369,8 +369,3 @@ def weights_at_level(rs: RootSystem, k: int) -> list[Weight]:
     rec([], k)
     return [rs.weight_from_coords(c) for c in sorted(out)]
 
-
-def longest_element(rs: RootSystem):
-    """The unique Weyl element sending every positive root to a negative one."""
-    from . import weyl
-    return weyl.longest_element(rs)

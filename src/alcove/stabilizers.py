@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import intlinalg, weyl
-from .rootdata import RootSystem, TorusPoint, Weight, inner
+from .rootdata import RootSystem, TorusPoint, Weight, _positive_root_closure, inner
 from .weyl import AffineWeylElement, WeylElement
 
 
@@ -235,21 +235,8 @@ def sub_positive_roots(rs: RootSystem, fd: FaceData) -> list[Weight]:
                for j in range(m)] for i in range(m)]
     assert all(x.denominator == 1 for row in cartan for x in row)
     cartan = [[int(x) for x in row] for row in cartan]
-    simple = [tuple(int(i == j) for j in range(m)) for i in range(m)]
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        beta = frontier.pop()
-        for i in range(m):
-            pairing = sum(cartan[i][j] * beta[j] for j in range(m))
-            image = list(beta)
-            image[i] -= pairing
-            image_t = tuple(image)
-            if all(x >= 0 for x in image_t) and image_t not in roots:
-                roots.add(image_t)
-                frontier.append(image_t)
     out = []
-    for coeffs in sorted(roots, key=lambda r: (sum(r), r)):
+    for coeffs in _positive_root_closure(cartan):
         v = rs.zero_weight()
         for c, g in zip(coeffs, gammas):
             v = v + g.scale(c)

@@ -8,10 +8,10 @@ coefficients are that inversion applied to pointwise products of characters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from . import chareval, conventions, weyl
+from . import conventions, weyl
 from .rootdata import RootSystem, Weight, weights_at_level
+from .weyl import ResourceError
 
 ROUNDING_ERROR_THRESHOLD = 1e-4
 INTEGRALITY_TOLERANCE = 1e-6
@@ -22,17 +22,10 @@ class InconsistentInputError(ValueError):
     """Grid values are not a character combination at this level."""
 
 
-class ResourceError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class LevelWeightSet:
     k: int
     weights: tuple[Weight, ...]
-
-    def index_of(self, lam: Weight) -> int:
-        return self.weights.index(lam)
 
 
 @dataclass
@@ -43,10 +36,13 @@ class ExtractionResult:
 
 @dataclass
 class FusionTable:
+    """Fusion coefficients; dense[a][b][c] is N_ab^c by position in weights."""
+
     k: int
     weights: tuple[Weight, ...]
     entries: dict[tuple[Weight, Weight, Weight], int]
     max_residual: float
+    dense: list[list[list[int]]]
 
     def coefficient(self, a: Weight, b: Weight, c: Weight) -> int:
         return self.entries.get((a, b, c), 0)
@@ -64,25 +60,18 @@ def contragredient(rs: RootSystem, a: Weight) -> Weight:
     return weyl.act(weyl.longest_element(rs), -a)
 
 
-@lru_cache(maxsize=64)
-def _measure_and_columns(rs: RootSystem, k: int, grid_mode: str | None):
-    """Grid measure plus character columns, cached; treat results as read-only."""
-    measure = conventions.grid_measure(rs, k, grid_mode)
-    lams = weights_at_level(rs, k)
-    columns: dict[Weight, list[complex]] = {lam: [] for lam in lams}
-    for _, point, wgt in measure:
-        for lam in lams:
-            columns[lam].append(chareval.character(rs, lam, point) if wgt else 0j)
-    return measure, tuple(lams), columns
-
-
 def synthesize(rs: RootSystem, k: int, multiplicities: dict[Weight, int],
                grid_mode: str | None = None) -> dict:
-    """Grid values of sum m_a chi_a, keyed by grid label (for round-trips)."""
-    measure, lams, columns = _measure_and_columns(rs, k, grid_mode)
+    """Grid values of sum m_a chi_a, keyed by grid label (for round-trips).
+
+    Points of zero measure, which inversion never reads, get 0j.
+    """
+    table = conventions.character_table(rs, k, grid_mode)
+    ms = [multiplicities.get(lam, 0) for lam in table.weights]
     out = {}
-    for idx, (label, point, _) in enumerate(measure):
-        out[label] = sum(multiplicities.get(lam, 0) * columns[lam][idx] for lam in lams)
+    for t, label in enumerate(table.labels):
+        out[label] = (sum(m * row[t] for m, row in zip(ms, table.values))
+                      if table.measure[t] else 0j)
     return out
 
 
@@ -96,14 +85,15 @@ def extract_multiplicities(rs: RootSystem, k: int, values: dict,
     reported.  A residual above 1e-4 signals that the input was not a level-k
     character combination.
     """
-    measure, lams, columns = _measure_and_columns(rs, k, grid_mode)
+    table = conventions.character_table(rs, k, grid_mode)
+    live = [t for t, wgt in enumerate(table.measure) if wgt]
+    sampled = [values[table.labels[t]] for t in live]
     result: dict[Weight, int] = {}
     worst = 0.0
-    for lam in lams:
+    for lam, row in zip(table.weights, table.values):
         s = 0j
-        for idx, (label, _, wgt) in enumerate(measure):
-            if wgt:
-                s += values[label] * columns[lam][idx].conjugate() * wgt
+        for t, v in zip(live, sampled):
+            s += v * row[t].conjugate() * table.measure[t]
         nearest = round(s.real)
         worst = max(worst, abs(s - nearest))
         result[lam] = int(nearest)
@@ -119,9 +109,11 @@ def fusion_coefficients(rs: RootSystem, k: int, a: Weight, b: Weight,
     lws = dominant_weights(rs, k)
     if a not in lws.weights or b not in lws.weights:
         raise ValueError("fusion labels must be level-k dominant weights")
-    measure, _, columns = _measure_and_columns(rs, k, grid_mode)
-    values = {label: columns[a][idx] * columns[b][idx]
-              for idx, (label, _, _) in enumerate(measure)}
+    table = conventions.character_table(rs, k, grid_mode)
+    row_a = table.values[table.weights.index(a)]
+    row_b = table.values[table.weights.index(b)]
+    values = {table.labels[t]: row_a[t] * row_b[t]
+              for t, wgt in enumerate(table.measure) if wgt}
     extraction = extract_multiplicities(rs, k, values, grid_mode)
     for c, n in extraction.multiplicities.items():
         if n < 0:
@@ -132,38 +124,39 @@ def fusion_coefficients(rs: RootSystem, k: int, a: Weight, b: Weight,
 def fusion_table(rs: RootSystem, k: int, grid_mode: str | None = None,
                  cap: int = DEFAULT_TABLE_CAP) -> FusionTable:
     """Complete fusion table, with unit and symmetry invariants verified."""
-    lws = dominant_weights(rs, k)
-    n = len(lws.weights)
+    ws = dominant_weights(rs, k).weights
+    n = len(ws)
     if n ** 3 > cap:
         raise ResourceError(f"table size {n ** 3} exceeds cap {cap}")
-    measure, lams, columns = _measure_and_columns(rs, k, grid_mode)
-    weights_per_point = [wgt for _, _, wgt in measure]
-    conj_columns = {lam: [v.conjugate() for v in columns[lam]] for lam in lams}
+    table = conventions.character_table(rs, k, grid_mode)
+    live = [t for t, wgt in enumerate(table.measure) if wgt]
+    wgts = [table.measure[t] for t in live]
+    cols = [[row[t] for t in live] for row in table.values]
+    conj_cols = [[v.conjugate() for v in col] for col in cols]
 
     entries: dict[tuple[Weight, Weight, Weight], int] = {}
+    dense = [[[0] * n for _ in range(n)] for _ in range(n)]
     worst = 0.0
-    for i, a in enumerate(lws.weights):
-        for b in lws.weights[i:]:
-            prod = [columns[a][t] * columns[b][t] for t in range(len(measure))]
-            for c in lws.weights:
+    for i, a in enumerate(ws):
+        for j in range(i, n):
+            b = ws[j]
+            prod = [x * y for x, y in zip(cols[i], cols[j])]
+            for c, conj in enumerate(conj_cols):
                 s = 0j
-                for t, wgt in enumerate(weights_per_point):
-                    if wgt:
-                        s += prod[t] * conj_columns[c][t] * wgt
+                for p, q, wgt in zip(prod, conj, wgts):
+                    s += p * q * wgt
                 nearest = round(s.real)
                 worst = max(worst, abs(s - nearest))
                 if nearest < 0:
                     raise InconsistentInputError("negative fusion coefficient")
                 if nearest:
-                    entries[(a, b, c)] = int(nearest)
-                    entries[(b, a, c)] = int(nearest)
+                    entries[(a, b, ws[c])] = int(nearest)
+                    entries[(b, a, ws[c])] = int(nearest)
+                    dense[i][j][c] = dense[j][i][c] = int(nearest)
     if worst > ROUNDING_ERROR_THRESHOLD:
         raise InconsistentInputError(
             f"rounding residual {worst:.3e} exceeds {ROUNDING_ERROR_THRESHOLD}")
-    zero = rs.zero_weight()
-    for b in lws.weights:
-        for c in lws.weights:
-            expected = 1 if b == c else 0
-            if (entries.get((zero, b, c), 0)) != expected:
-                raise AssertionError("unit law failed in fusion table")
-    return FusionTable(k, lws.weights, entries, worst)
+    unit = dense[ws.index(rs.zero_weight())]
+    if any(unit[b][c] != (b == c) for b in range(n) for c in range(n)):
+        raise AssertionError("unit law failed in fusion table")
+    return FusionTable(k, ws, entries, worst, dense)

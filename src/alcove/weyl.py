@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import intlinalg
 from .rootdata import RootSystem, TorusPoint, Weight, inner
 
 DEFAULT_GROUP_CAP = 10**6
@@ -152,15 +151,6 @@ def act_on_coroot_coords(w: WeylElement, v) -> tuple:
     return tuple(sum(w.action_coroot[i][j] * v[j] for j in range(n)) for i in range(n))
 
 
-def inverse(rs: RootSystem, w: WeylElement) -> WeylElement:
-    def inv(m: IntMat) -> IntMat:
-        rows = intlinalg.mat_inverse(intlinalg.frac_matrix(m))
-        return tuple(tuple(int(x) for x in row) for row in rows)
-
-    return WeylElement(inv(w.action), inv(w.action_root), inv(w.action_coroot),
-                       w.sign, tuple(reversed(w.word)))
-
-
 def order_formula(rs: RootSystem) -> int:
     """Classical group order: product of (degree) factors per series."""
     from math import factorial
@@ -251,10 +241,6 @@ def alcove_certificate(rs: RootSystem, k: int, x: TorusPoint) -> tuple[Fraction,
     pairings = [x.mu_star.coords[i] for i in range(rs.rank)]  # <alpha_i^v, x>
     pairings.append(Fraction(k) - inner(rs, rs.highest_root, x.mu_star))
     return tuple(pairings)
-
-
-def in_closed_alcove(rs: RootSystem, k: int, x: TorusPoint) -> bool:
-    return all(p >= 0 for p in alcove_certificate(rs, k, x))
 
 
 def find_alcove(rs: RootSystem, k: int, x: TorusPoint) -> tuple[AffineWeylElement, AlcovePoint]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcove import chareval, identities, rootdata, weyl
+from alcove import chareval, conventions, identities, rootdata, weyl
 from alcove.chareval import SingularPointError, character, eval_exp, is_regular, \
     localization_sum, weyl_denominator
 from alcove.rootdata import TorusPoint, from_name
@@ -194,3 +194,48 @@ def test_special_grid_mode_dispatch():
     assert len(chareval.special_grid(a1, 1, "full")) == 6
     with pytest.raises(ValueError):
         chareval.special_grid(a1, 1, "diagonal")
+
+
+def fraction_path_character(rs, lam, x):
+    """Weyl quotient from exact Fraction pairings: the reference for the residue kernel."""
+    num = 0j
+    den = 0j
+    for w in weyl.enumerate_weyl(rs):
+        num += w.sign * eval_exp(rs, weyl.act(w, lam + rs.rho), x)
+        den += w.sign * eval_exp(rs, weyl.act(w, rs.rho), x)
+    return num / den
+
+
+@pytest.mark.parametrize("name,k,mode",
+                         [(name, k, "shifted") for name in ["A1", "A2", "A3", "B2", "C3", "G2"]
+                          for k in range(3)] + [("B2", 2, "full")])
+def test_character_table_is_bitwise_the_fraction_path(name, k, mode):
+    rs = from_name(name)
+    table = conventions.character_table(rs, k, mode)
+    assert table.weights == tuple(rootdata.weights_at_level(rs, k))
+    assert [w for _, _, w in conventions.grid_measure(rs, k, mode)] == list(table.measure)
+    for t, x in enumerate(table.points):
+        assert table.regular[t] == is_regular(rs, x)
+        for lam, row in zip(table.weights, table.values):
+            if x.is_zero:
+                expected = complex(chareval.weyl_dimension(rs, lam))
+            elif not is_regular(rs, x):
+                expected = None
+            else:
+                expected = fraction_path_character(rs, lam, x)
+            assert row[t] == expected
+    if mode == "full":  # the full grid has the identity and other singular points
+        assert any(x.is_zero for x in table.points)
+        assert any(not x.is_zero and not r for x, r in zip(table.points, table.regular))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+def test_character_at_random_points_is_bitwise_the_fraction_path(name):
+    rs = from_name(name)
+    rng = random.Random(5)
+    lams = rootdata.weights_at_level(rs, 2)
+    for _ in range(10):
+        x = identities.random_rational_point(rs, rng)
+        if is_regular(rs, x):
+            lam = lams[rng.randrange(len(lams))]
+            assert character(rs, lam, x) == fraction_path_character(rs, lam, x)

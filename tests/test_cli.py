@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from alcove import cli
 
 
@@ -136,3 +138,25 @@ def test_verify_needs_both_series_and_rank(capsys):
 def test_negative_tolerance_rejected(capsys):
     code, _, err = run(capsys, "verify", "--tolerance", "-1")
     assert code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["char", "--series", "A", "--rank", "1", "--weight", "1", "--point", "1/0"],
+    ["char", "--series", "A", "--rank", "1", "--weight", "x", "--point", "1/3"],
+    ["char", "--series", "A", "--rank", "1", "--weight", "-1", "--point", "1/3"],
+    ["fusion", "--series", "A", "--rank", "1", "--level", "1", "--pair", "5", "0"],
+    ["grid", "--series", "E", "--rank", "8"],
+], ids=["point-1/0", "weight-x", "weight-negative", "pair-above-level", "grid-E8-cap"])
+def test_bad_input_exits_2_with_one_line_error(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_nonpositive_samples_rejected(capsys, samples):
+    code, out, err = run(capsys, "verify", "--samples", samples, "--level", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: samples must be positive\n"

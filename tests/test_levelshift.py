@@ -4,10 +4,16 @@ from fractions import Fraction
 import pytest
 
 from alcove import chareval, identities, levelshift, rootdata, stabilizers, weyl
-from alcove.levelshift import (lattice_exponential_is_one,
-                               make_witness, regular_lattice_points,
+from alcove.levelshift import (make_witness, regular_lattice_points,
                                shift_rule_residual, wall_witnesses)
-from alcove.rootdata import TorusPoint, from_name
+from alcove.rootdata import TorusPoint, from_name, inner
+
+
+def lattice_exponential_is_one(rs, witness, x):
+    """Exact check that (k+h^v) <nu(v), x> is an integer angle."""
+    n = witness.k + rs.dual_coxeter
+    angle = n * inner(rs, rs.coroot_to_weight_space(witness.v), x.mu_star)
+    return angle.denominator == 1
 
 
 def wall_faces(rs):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from alcove import chareval, verlinde
+from alcove import chareval, verlinde, weyl
 from alcove.rootdata import from_name
 from alcove.verlinde import (InconsistentInputError, contragredient,
                              dominant_weights, extract_multiplicities,
@@ -186,5 +186,20 @@ def test_fusion_invariants(name, k):
 
 def test_table_cap():
     rs = from_name("A2")
+    assert verlinde.ResourceError is weyl.ResourceError
     with pytest.raises(verlinde.ResourceError):
         fusion_table(rs, 3, cap=10)
+
+
+@pytest.mark.parametrize("name,k", [("A2", 2), ("B2", 2), ("G2", 2)])
+def test_dense_table_matches_entries(name, k):
+    rs = from_name(name)
+    table = fusion_table(rs, k)
+    ws = table.weights
+    nonzero = 0
+    for i, a in enumerate(ws):
+        for j, b in enumerate(ws):
+            for c, wc in enumerate(ws):
+                assert table.dense[i][j][c] == table.coefficient(a, b, wc)
+                nonzero += table.dense[i][j][c] != 0
+    assert nonzero == len(table.entries)
