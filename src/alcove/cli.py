@@ -4,16 +4,14 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numerical-integrity error.  JSON is canonical; CSV is a lossy convenience
 export with complex entries rendered as "re+imi" strings.  All randomness
 flows from the seed in the run configuration; identical configurations
-produce byte-identical artifacts.  ALCOVE_THREADS caps suite parallelism.
+produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,14 +35,6 @@ class RunConfig:
     samples: int = 100
     fmt: str = "json"
     out: str | None = None
-    threads: int = 1
-
-
-def _threads_from_env() -> int:
-    try:
-        return max(1, int(os.environ.get("ALCOVE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def format_complex(z: complex) -> str:
@@ -169,8 +159,10 @@ def cmd_fusion(cfg: RunConfig, pair: tuple[str, str] | None) -> int:
             max_residual = None
         else:
             table = verlinde.fusion_table(rs, cfg.level, cfg.grid_mode)
-            triples = [(_weight_label(a), _weight_label(b), _weight_label(c), n)
-                       for (a, b, c), n in table.entries.items()]
+            labels = [_weight_label(lam) for lam in table.weights]
+            triples = [(labels[a], labels[b], labels[c], n)
+                       for a, slab in enumerate(table.dense)
+                       for b, row in enumerate(slab) for c, n in enumerate(row) if n]
             max_residual = table.max_residual
     except verlinde.InconsistentInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -275,23 +267,19 @@ def _verify_suites(rs, cfg: RunConfig):
     def character_suite():
         rng = random.Random(cfg.seed + 3)
         lams = rootdata.weights_at_level(rs, min(cfg.level, 3))
-        worst = 0.0
-        done = 0
-        while done < cfg.samples:
+
+        def draw() -> float:
             x = identities.random_rational_point(rs, rng)
             if not chareval.is_regular(rs, x):
-                continue
+                raise identities.PoleError("singular sample point")
             lam = lams[rng.randrange(len(lams))]
-            worst = max(worst, abs(chareval.character(rs, lam, x)
-                                   - chareval.localization_sum(rs, lam, x)))
-            done += 1
+            return abs(chareval.character(rs, lam, x) - chareval.localization_sum(rs, lam, x))
+
         zero = TorusPoint(rs.zero_weight())
         dims_ok = all(chareval.character(rs, lam, zero) == chareval.weyl_dimension(rs, lam)
                       for lam in lams)
-        return identities.IdentityReport("character_consistency", name, cfg.samples,
-                                         worst, tol(1e-9),
-                                         worst < tol(1e-9) and dims_ok,
-                                         {"dimension_fallback_exact": dims_ok})
+        return identities.sampled_report("character_consistency", rs, cfg.samples, tol(1e-9),
+                                         draw, dims_ok, {"dimension_fallback_exact": dims_ok})
 
     def regularity_suite():
         shifted_ok = all(chareval.is_regular(rs, p)
@@ -321,8 +309,8 @@ def _verify_suites(rs, cfg: RunConfig):
                             count += 1
                         except identities.PoleError:
                             continue
-        return identities.IdentityReport("levelshift", name, count, worst,
-                                         tol(1e-9), worst < tol(1e-9), {"k": cfg.level})
+        return identities.IdentityReport("levelshift", name, count, worst, tol(1e-9),
+                                         count > 0 and worst < tol(1e-9), {"k": cfg.level})
 
     suites += [rho_shift_suite, lattice_phase_suite, multiplicity_suite,
                fusion_suite, character_suite, regularity_suite, levelshift_suite]
@@ -334,13 +322,7 @@ def cmd_verify(cfg: RunConfig, systems: list[tuple[str, int]]) -> int:
     for series, rank in systems:
         rs = rootdata.build_root_system(series, rank)
         suites.extend(_verify_suites(rs, cfg))
-    threads = cfg.threads
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(s) for s in suites]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [s() for s in suites]
+    reports = [s() for s in suites]
     _emit(cfg, {"schema": "alcove/verify/v1",
                 "reports": [r.to_json_dict() for r in reports]})
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFICATION
@@ -403,13 +385,11 @@ def main(argv: list[str] | None = None) -> int:
             systems = [(args.series, args.rank)] if args.series else [("A", 1), ("A", 2)]
             cfg = RunConfig(series=systems[0][0], rank=systems[0][1], level=args.level,
                             grid_mode=args.grid, tolerance=args.tolerance, seed=args.seed,
-                            samples=args.samples, fmt=args.fmt, out=args.out,
-                            threads=_threads_from_env())
+                            samples=args.samples, fmt=args.fmt, out=args.out)
             return cmd_verify(cfg, systems)
         cfg = RunConfig(series=args.series, rank=args.rank, level=args.level,
                         grid_mode=args.grid, tolerance=args.tolerance, seed=args.seed,
-                        samples=args.samples, fmt=args.fmt, out=args.out,
-                        threads=_threads_from_env())
+                        samples=args.samples, fmt=args.fmt, out=args.out)
         if args.command == "roots":
             return cmd_roots(cfg, args.elements)
         if args.command == "faces":

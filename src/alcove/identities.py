@@ -23,6 +23,10 @@ PRIME_DENOMINATORS = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151,
                       419, 421, 431, 433, 439, 443, 449, 457, 461, 463, 467,
                       479, 487, 491, 499)
 
+# Resample budget of a sampled suite: at most this many draws per requested
+# sample, so a pole-heavy sampler ends in a failed report, never a hang.
+MAX_DRAWS_PER_SAMPLE = 10
+
 
 class PoleError(ValueError):
     """A factor in the requested sum vanishes at the sample point; resample."""
@@ -48,6 +52,30 @@ def random_rational_point(rs: RootSystem, rng: random.Random) -> TorusPoint:
     den = rng.choice(PRIME_DENOMINATORS)
     coords = [Fraction(rng.randrange(1, den), den) for _ in range(rs.rank)]
     return TorusPoint(rs.weight_from_coords(coords))
+
+
+def sampled_report(name: str, rs: RootSystem, samples: int, tolerance: float, draw,
+                   ok: bool = True, detail: dict | None = None) -> IdentityReport:
+    """Report the worst residual over samples pole-free draws.
+
+    draw() returns one residual or raises PoleError; at most
+    MAX_DRAWS_PER_SAMPLE * samples draws are made.  The report counts the
+    samples checked, and fails when that is fewer than requested.
+    """
+    worst, done = 0.0, 0
+    for _ in range(MAX_DRAWS_PER_SAMPLE * samples):
+        if done == samples:
+            break
+        try:
+            worst = max(worst, draw())
+        except PoleError:
+            continue
+        done += 1
+    detail = dict(detail or {})
+    if done < samples:
+        detail["samples_requested"] = samples
+    return IdentityReport(name, f"{rs.series}{rs.rank}", done, worst, tolerance,
+                          ok and done == samples and worst < tolerance, detail)
 
 
 # -- the vanishing double Weyl sum --------------------------------------------
@@ -97,18 +125,13 @@ def fundamental_formula_residual(rs: RootSystem, x: TorusPoint, y: TorusPoint) -
 def fundamental_formula_suite(rs: RootSystem, samples: int, seed: int,
                               tolerance: float = 1e-8) -> IdentityReport:
     rng = random.Random(seed)
-    worst = 0.0
-    done = 0
-    while done < samples:
+
+    def draw() -> float:
         x = random_rational_point(rs, rng)
         y = random_rational_point(rs, rng)
-        try:
-            worst = max(worst, abs(fundamental_formula_residual(rs, x, y)))
-        except PoleError:
-            continue
-        done += 1
-    return IdentityReport("fundamental_formula", f"{rs.series}{rs.rank}", samples,
-                          worst, tolerance, worst < tolerance)
+        return abs(fundamental_formula_residual(rs, x, y))
+
+    return sampled_report("fundamental_formula", rs, samples, tolerance, draw)
 
 
 # -- the alternating subset sum ------------------------------------------------
@@ -145,18 +168,13 @@ def subset_identity_residual(rs: RootSystem, x: TorusPoint,
 def subset_identity_suite(rs: RootSystem, samples: int, seed: int,
                           tolerance: float = 1e-8) -> IdentityReport:
     rng = random.Random(seed)
-    worst = 0.0
-    done = 0
     include = conventions.FROZEN.include_empty_subset
-    while done < samples:
+
+    def draw() -> float:
         x = random_rational_point(rs, rng)
-        try:
-            worst = max(worst, abs(subset_identity_residual(rs, x, include) - 1))
-        except PoleError:
-            continue
-        done += 1
-    return IdentityReport("subset_identity", f"{rs.series}{rs.rank}", samples,
-                          worst, tolerance, worst < tolerance)
+        return abs(subset_identity_residual(rs, x, include) - 1)
+
+    return sampled_report("subset_identity", rs, samples, tolerance, draw)
 
 
 # -- orthogonality on the evaluation grid ---------------------------------------

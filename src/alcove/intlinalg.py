@@ -27,10 +27,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
 
 
-def identity(n: int) -> Mat:
-    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-
-
 def mat_inverse(m: Mat) -> Mat:
     """Invert a square rational matrix by Gauss-Jordan elimination."""
     n = len(m)

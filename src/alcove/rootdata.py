@@ -1,8 +1,10 @@
 """Static data of a simple root system, normalized so (theta|theta) = 2.
 
-All arithmetic is exact rational: weights live in fundamental-weight
-coordinates, coroots in simple-coroot coordinates, and every derived quantity
-(Gram matrices, marks, lattices) is computed from the Cartan matrix alone.
+All arithmetic is exact rational.  A weight is stored once, in
+fundamental-weight coordinates; its simple-root coordinates are derived on
+demand (RootSystem.root_coords).  Coroots live in simple-coroot coordinates,
+and every derived quantity (Gram matrices, marks, lattices) is computed from
+the Cartan matrix alone.
 """
 
 from __future__ import annotations
@@ -33,27 +35,24 @@ class ConfigurationError(ValueError):
 class Weight:
     """Exact-rational vector in fundamental-weight coordinates.
 
-    root_coords is the same vector expanded in simple roots; both are kept in
-    sync because dominance tests want one basis and pairings want the other.
+    coords[i] is the pairing <lam, alpha_i^v>; the simple-root expansion is
+    RootSystem.root_coords(lam).
     """
 
     coords: tuple[Fraction, ...]
-    root_coords: tuple[Fraction, ...]
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)),
-                      tuple(a + b for a, b in zip(self.root_coords, other.root_coords)))
+        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)),
-                      tuple(a - b for a, b in zip(self.root_coords, other.root_coords)))
+        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords), tuple(-a for a in self.root_coords))
+        return Weight(tuple(-a for a in self.coords))
 
     def scale(self, c) -> "Weight":
         c = Fraction(c)
-        return Weight(tuple(c * a for a in self.coords), tuple(c * a for a in self.root_coords))
+        return Weight(tuple(c * a for a in self.coords))
 
     @property
     def is_zero(self) -> bool:
@@ -200,15 +199,16 @@ class RootSystem:
     # -- coordinates ---------------------------------------------------------
 
     def weight_from_coords(self, coords) -> Weight:
-        coords = tuple(Fraction(x) for x in coords)
-        rc = intlinalg.mat_vec(self.inv_cartan, coords)
-        return Weight(coords, rc)
+        return Weight(tuple(Fraction(x) for x in coords))
 
     def weight_from_root_coords(self, rc) -> Weight:
-        rc = tuple(Fraction(x) for x in rc)
-        coords = tuple(sum(Fraction(self.cartan[k][j]) * rc[j] for j in range(self.rank))
-                       for k in range(self.rank))
-        return Weight(coords, rc)
+        rc = [Fraction(x) for x in rc]
+        return Weight(tuple(sum(self.cartan[k][j] * rc[j] for j in range(self.rank))
+                            for k in range(self.rank)))
+
+    def root_coords(self, lam: Weight) -> tuple[Fraction, ...]:
+        """lam expanded in simple roots: inv_cartan . coords."""
+        return intlinalg.mat_vec(self.inv_cartan, lam.coords)
 
     def zero_weight(self) -> Weight:
         return self.weight_from_coords([0] * self.rank)
@@ -227,8 +227,8 @@ class RootSystem:
     def coroot_of(self, root: Weight) -> tuple[Fraction, ...]:
         """Coordinates of root^v = 2 root/(root|root) in the simple-coroot basis."""
         norm = inner(self, root, root)
-        return tuple(root.root_coords[j] * self.symmetrizers[j] * 2 / norm
-                     for j in range(self.rank))
+        rc = self.root_coords(root)
+        return tuple(rc[j] * self.symmetrizers[j] * 2 / norm for j in range(self.rank))
 
     def pairing_with_coroot_vector(self, lam: Weight, coroot_coords) -> Fraction:
         """<lam, t> for t given in simple-coroot coordinates."""
@@ -292,8 +292,9 @@ class RootSystem:
             "rank": self.rank,
             "cartan": self.cartan,
             "symmetrizers": [str(d) for d in self.symmetrizers],
-            "positive_roots": [[str(x) for x in r.root_coords] for r in self.positive_roots],
-            "highest_root": [str(x) for x in self.highest_root.root_coords],
+            "positive_roots": [[str(x) for x in self.root_coords(r)]
+                               for r in self.positive_roots],
+            "highest_root": [str(x) for x in self.root_coords(self.highest_root)],
             "marks": list(self.marks),
             "comarks": list(self.comarks),
             "dual_coxeter": self.dual_coxeter,

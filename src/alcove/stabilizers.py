@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from . import intlinalg, weyl
@@ -225,12 +226,13 @@ def lattice_phase_check(rs: RootSystem, fd: FaceData, k: int, t, require_lattice
     return True
 
 
-def sub_positive_roots(rs: RootSystem, fd: FaceData) -> list[Weight]:
-    """Positive roots of the sub-root-system generated by the realized simple roots."""
+@lru_cache(maxsize=None)
+def sub_positive_roots(rs: RootSystem, fd: FaceData) -> tuple[Weight, ...]:
+    """Positive roots of the sub-root-system generated by the realized simple roots (cached)."""
     gammas = fd.realized_simple_roots
     m = len(gammas)
     if m == 0:
-        return []
+        return ()
     cartan = [[2 * inner(rs, gammas[i], gammas[j]) / inner(rs, gammas[i], gammas[i])
                for j in range(m)] for i in range(m)]
     assert all(x.denominator == 1 for row in cartan for x in row)
@@ -241,4 +243,4 @@ def sub_positive_roots(rs: RootSystem, fd: FaceData) -> list[Weight]:
         for c, g in zip(coeffs, gammas):
             v = v + g.scale(c)
         out.append(v)
-    return out
+    return tuple(out)

@@ -8,6 +8,7 @@ coefficients are that inversion applied to pointwise products of characters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import conventions, weyl
 from .rootdata import RootSystem, Weight, weights_at_level
@@ -40,12 +41,26 @@ class FusionTable:
 
     k: int
     weights: tuple[Weight, ...]
-    entries: dict[tuple[Weight, Weight, Weight], int]
     max_residual: float
     dense: list[list[list[int]]]
 
+    @property
+    def entries(self) -> dict[tuple[Weight, Weight, Weight], int]:
+        """The nonzero coefficients keyed by weight triple (derived from dense)."""
+        ws = self.weights
+        return {(ws[a], ws[b], ws[c]): n for a, slab in enumerate(self.dense)
+                for b, row in enumerate(slab) for c, n in enumerate(row) if n}
+
+    @cached_property
+    def _position(self) -> dict[Weight, int]:
+        return {lam: i for i, lam in enumerate(self.weights)}
+
     def coefficient(self, a: Weight, b: Weight, c: Weight) -> int:
-        return self.entries.get((a, b, c), 0)
+        """N_ab^c; 0 for a weight outside the table."""
+        pos = self._position
+        if a in pos and b in pos and c in pos:
+            return self.dense[pos[a]][pos[b]][pos[c]]
+        return 0
 
 
 def dominant_weights(rs: RootSystem, k: int) -> LevelWeightSet:
@@ -134,12 +149,10 @@ def fusion_table(rs: RootSystem, k: int, grid_mode: str | None = None,
     cols = [[row[t] for t in live] for row in table.values]
     conj_cols = [[v.conjugate() for v in col] for col in cols]
 
-    entries: dict[tuple[Weight, Weight, Weight], int] = {}
     dense = [[[0] * n for _ in range(n)] for _ in range(n)]
     worst = 0.0
-    for i, a in enumerate(ws):
+    for i in range(n):
         for j in range(i, n):
-            b = ws[j]
             prod = [x * y for x, y in zip(cols[i], cols[j])]
             for c, conj in enumerate(conj_cols):
                 s = 0j
@@ -149,14 +162,11 @@ def fusion_table(rs: RootSystem, k: int, grid_mode: str | None = None,
                 worst = max(worst, abs(s - nearest))
                 if nearest < 0:
                     raise InconsistentInputError("negative fusion coefficient")
-                if nearest:
-                    entries[(a, b, ws[c])] = int(nearest)
-                    entries[(b, a, ws[c])] = int(nearest)
-                    dense[i][j][c] = dense[j][i][c] = int(nearest)
+                dense[i][j][c] = dense[j][i][c] = nearest
     if worst > ROUNDING_ERROR_THRESHOLD:
         raise InconsistentInputError(
             f"rounding residual {worst:.3e} exceeds {ROUNDING_ERROR_THRESHOLD}")
     unit = dense[ws.index(rs.zero_weight())]
     if any(unit[b][c] != (b == c) for b in range(n) for c in range(n)):
         raise AssertionError("unit law failed in fusion table")
-    return FusionTable(k, ws, entries, worst, dense)
+    return FusionTable(k, ws, worst, dense)

@@ -1,9 +1,10 @@
 """Finite and affine Weyl group machinery.
 
-Elements act on fundamental-weight coordinates by integer matrices; affine
-elements are (finite part, translation) pairs with the translation stored in
-simple-coroot coordinates.  The level enters only when an element acts on a
-torus point.
+A finite element is one integer matrix on fundamental-weight coordinates;
+its action on simple-coroot coordinates is derived from it, since W preserves
+the pairing <lam, v> = lam.coords . v.  Affine elements are (finite part,
+translation) pairs with the translation stored in simple-coroot coordinates.
+The level enters only when an element acts on a torus point.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import intlinalg
 from .rootdata import RootSystem, TorusPoint, Weight, inner
 
 DEFAULT_GROUP_CAP = 10**6
@@ -31,23 +33,17 @@ class MismatchError(ValueError):
 class WeylElement:
     """Finite Weyl group element.
 
-    action, action_root and action_coroot are the integer matrices on
-    fundamental-weight, simple-root and simple-coroot coordinates; sign is the
-    determinant; word is a reduced word in simple reflections.
+    action is the integer matrix on fundamental-weight coordinates; sign is
+    the determinant; word is a reduced word in simple reflections.
     """
 
     action: IntMat
-    action_root: IntMat
-    action_coroot: IntMat
     sign: int
     word: tuple[int, ...]
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return WeylElement(_mat_mul_int(self.action, other.action),
-                           _mat_mul_int(self.action_root, other.action_root),
-                           _mat_mul_int(self.action_coroot, other.action_coroot),
-                           self.sign * other.sign,
-                           self.word + other.word)
+                           self.sign * other.sign, self.word + other.word)
 
     @property
     def is_identity(self) -> bool:
@@ -95,34 +91,24 @@ def _identity_mat(n: int) -> IntMat:
 
 
 def identity_element(rs: RootSystem) -> WeylElement:
-    n = rs.rank
-    return WeylElement(_identity_mat(n), _identity_mat(n), _identity_mat(n), 1, ())
+    return WeylElement(_identity_mat(rs.rank), 1, ())
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    return _reflection_matrices(rs, rs.simple_root(i), word=(i,))
+    return _reflection(rs, rs.simple_root(i), (i,))
 
 
 def reflection_in_root(rs: RootSystem, root: Weight) -> WeylElement:
     """Reflection in an arbitrary root, with a reduced word found by descent."""
-    w = _reflection_matrices(rs, root, word=None)
-    return WeylElement(w.action, w.action_root, w.action_coroot,
-                       w.sign, _descent_word(rs, w))
+    w = _reflection(rs, root, ())
+    return WeylElement(w.action, -1, _descent_word(rs, w))
 
 
-def _reflection_matrices(rs: RootSystem, root: Weight, word) -> WeylElement:
-    """x -> x - <x, root^v> root on each coordinate system."""
-    n = rs.rank
-    covec = rs.coroot_of(root)                      # coroot coordinates of root^v
-    pair_from_rc = tuple(sum(rs.cartan[k][m] * covec[k] for k in range(n))
-                         for m in range(n))         # <alpha_m, root^v> per root basis slot
-    action = tuple(tuple(int(Fraction(k == j) - root.coords[k] * covec[j])
-                         for j in range(n)) for k in range(n))
-    action_root = tuple(tuple(int(Fraction(k == j) - root.root_coords[k] * pair_from_rc[j])
-                              for j in range(n)) for k in range(n))
-    action_coroot = tuple(tuple(int(Fraction(k == j) - covec[k] * root.coords[j])
-                                for j in range(n)) for k in range(n))
-    return WeylElement(action, action_root, action_coroot, -1, word if word is not None else ())
+def _reflection(rs: RootSystem, root: Weight, word) -> WeylElement:
+    """x -> x - <x, root^v> root on fundamental-weight coordinates."""
+    n, covec = rs.rank, rs.coroot_of(root)          # coroot coordinates of root^v
+    return WeylElement(tuple(tuple(int(Fraction(k == j) - root.coords[k] * covec[j])
+                                   for j in range(n)) for k in range(n)), -1, word)
 
 
 def _descent_word(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
@@ -131,7 +117,7 @@ def _descent_word(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
     applied: list[int] = []
     while not v.is_identity:
         i = next(i for i in range(rs.rank)
-                 if all(x <= 0 for x in act(v, rs.simple_root(i)).root_coords))
+                 if all(x <= 0 for x in rs.root_coords(act(v, rs.simple_root(i)))))
         applied.append(i)
         v = v * simple_reflection(rs, i)
     return tuple(reversed(applied))
@@ -139,16 +125,21 @@ def _descent_word(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
 
 def act(w: WeylElement, a: Weight) -> Weight:
     n = len(w.action)
-    coords = tuple(sum(Fraction(w.action[i][j]) * a.coords[j] for j in range(n))
-                   for i in range(n))
-    rc = tuple(sum(Fraction(w.action_root[i][j]) * a.root_coords[j] for j in range(n))
-               for i in range(n))
-    return Weight(coords, rc)
+    return Weight(tuple(sum(Fraction(w.action[i][j]) * a.coords[j] for j in range(n))
+                        for i in range(n)))
+
+
+@lru_cache(maxsize=None)
+def _coroot_action(action: IntMat) -> IntMat:
+    """(action^T)^-1, integral: W keeps <lam, v> = lam.coords . v, so action^T (w v) = v."""
+    inv = intlinalg.mat_inverse(intlinalg.frac_matrix(zip(*action)))
+    return tuple(tuple(int(x) for x in row) for row in inv)
 
 
 def act_on_coroot_coords(w: WeylElement, v) -> tuple:
-    n = len(w.action_coroot)
-    return tuple(sum(w.action_coroot[i][j] * v[j] for j in range(n)) for i in range(n))
+    """w acting on a vector in simple-coroot coordinates."""
+    m = _coroot_action(w.action)
+    return tuple(sum(m[i][j] * v[j] for j in range(len(m))) for i in range(len(m)))
 
 
 def order_formula(rs: RootSystem) -> int:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from alcove import cli
+from alcove import cli, identities, levelshift
+from alcove.rootdata import TorusPoint
 
 
 def run(capsys, *args):
@@ -160,3 +161,26 @@ def test_verify_nonpositive_samples_rejected(capsys, samples):
     assert code == 2
     assert out == ""
     assert err == "error: samples must be positive\n"
+
+
+def test_verify_fails_when_every_draw_is_a_pole(capsys, monkeypatch):
+    monkeypatch.setattr(identities, "random_rational_point",
+                        lambda rs, rng: TorusPoint(rs.zero_weight()))
+    code, out, _ = run(capsys, "verify", "--series", "A", "--rank", "1",
+                       "--samples", "3", "--level", "1")
+    assert code == 1
+    reports = {r["name"]: r for r in json.loads(out)["reports"]}
+    for name in ("fundamental_formula", "subset_identity", "character_consistency"):
+        assert not reports[name]["passed"]
+        assert reports[name]["samples"] == 0
+        assert reports[name]["detail"]["samples_requested"] == 3
+    assert reports["levelshift"]["passed"]
+
+
+def test_levelshift_suite_fails_without_checked_points(capsys, monkeypatch):
+    monkeypatch.setattr(levelshift, "regular_lattice_points", lambda rs, k: [])
+    code, out, _ = run(capsys, "verify", "--series", "A", "--rank", "1",
+                       "--samples", "3", "--level", "1")
+    assert code == 1
+    bad = [r for r in json.loads(out)["reports"] if not r["passed"]]
+    assert [(r["name"], r["samples"]) for r in bad] == [("levelshift", 0)]

@@ -154,6 +154,23 @@ def test_suite_reports():
                       "passed", "detail"}
 
 
+@pytest.mark.parametrize("suite,draws_per_sample", [
+    (identities.fundamental_formula_suite, 2), (identities.subset_identity_suite, 1)])
+def test_sampled_suite_with_only_poles_fails(monkeypatch, suite, draws_per_sample):
+    a1 = from_name("A1")
+    calls = []
+
+    def pole(rs, rng):
+        calls.append(1)
+        return TorusPoint(rs.zero_weight())
+
+    monkeypatch.setattr(identities, "random_rational_point", pole)
+    rep = suite(a1, 4, seed=0)
+    assert not rep.passed
+    assert rep.samples == 0 and rep.detail == {"samples_requested": 4}
+    assert len(calls) == draws_per_sample * identities.MAX_DRAWS_PER_SAMPLE * 4
+
+
 def test_random_points_are_reproducible():
     a2 = from_name("A2")
     xs = [random_rational_point(a2, random.Random(42)) for _ in range(2)]

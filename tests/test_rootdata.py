@@ -55,7 +55,7 @@ def test_highest_root_normalization(name):
     assert inner(rs, theta, theta) == 2
     # theta dominates every root coordinatewise
     for beta in rs.positive_roots:
-        assert all(b <= t for b, t in zip(beta.root_coords, theta.root_coords))
+        assert all(b <= t for b, t in zip(rs.root_coords(beta), rs.root_coords(theta)))
     # marks expand theta, comarks expand theta^v
     assert rs.weight_from_root_coords(rs.marks) == theta
     assert tuple(rs.coroot_of(theta)) == tuple(Fraction(c) for c in rs.comarks)
@@ -66,6 +66,9 @@ def test_roots_pair_integrally_with_coroots(name):
     rs = from_name(name)
     for beta in rs.positive_roots:
         assert beta.is_integral  # weight coordinates are the coroot pairings
+        rc = rs.root_coords(beta)
+        assert all(c.denominator == 1 and c >= 0 for c in rc)
+        assert rs.weight_from_root_coords(rc) == beta
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -181,4 +184,4 @@ def test_weight_coordinate_roundtrip():
     rs = from_name("G2")
     for w in rs.positive_roots:
         assert rs.weight_from_coords(w.coords) == w
-        assert rs.weight_from_root_coords(w.root_coords) == w
+        assert rs.weight_from_root_coords(rs.root_coords(w)) == w

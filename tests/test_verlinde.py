@@ -203,3 +203,11 @@ def test_dense_table_matches_entries(name, k):
                 assert table.dense[i][j][c] == table.coefficient(a, b, wc)
                 nonzero += table.dense[i][j][c] != 0
     assert nonzero == len(table.entries)
+    assert table.entries == {(a, b, wc): table.dense[i][j][c]
+                             for i, a in enumerate(ws) for j, b in enumerate(ws)
+                             for c, wc in enumerate(ws) if table.dense[i][j][c]}
+    outside = rs.weight_from_coords([k + 1] + [0] * (rs.rank - 1))
+    zero = rs.zero_weight()
+    assert outside not in ws
+    assert table.coefficient(outside, zero, outside) == 0
+    assert table.coefficient(zero, zero, outside) == 0

@@ -11,8 +11,8 @@ from alcove import rootdata, weyl
 from alcove.rootdata import TorusPoint, from_name, inner
 
 
-def is_negative_root_vector(w):
-    return all(x <= 0 for x in w.root_coords) and not w.is_zero
+def is_negative_root_vector(rs, w):
+    return all(x <= 0 for x in rs.root_coords(w)) and not w.is_zero
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"])
@@ -95,7 +95,7 @@ def test_flipped_root_sum_identity(name):
         total = rs.zero_weight()
         for alpha in rs.positive_roots:
             image = weyl.act(w, alpha)
-            if is_negative_root_vector(image):
+            if is_negative_root_vector(rs, image):
                 total = total + image
         assert total == weyl.act(w, rs.rho) - rs.rho
 
@@ -224,6 +224,22 @@ def test_factor_affine_composition():
     v = weyl.factor_affine(rs, product, g1.finite * g2.finite)
     assert v == tuple(a + b for a, b in zip(v1, weyl.act_on_coroot_coords(g1.finite, v2)))
     assert rs.in_lattice_M(v)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "F4"])
+def test_coroot_action_preserves_pairing(name):
+    # <w lam, w v> = <lam, v> for fundamental weights lam and simple coroots v
+    rs = from_name(name)
+    fund = [rs.fundamental_weight(i) for i in range(rs.rank)]
+    coroots = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    for w in weyl.enumerate_weyl(rs):
+        moved = [weyl.act_on_coroot_coords(w, v) for v in coroots]
+        assert all(type(x) is int for u in moved for x in u)
+        for lam in fund:
+            w_lam = weyl.act(w, lam)
+            for v, u in zip(coroots, moved):
+                assert rs.pairing_with_coroot_vector(w_lam, u) == \
+                    rs.pairing_with_coroot_vector(lam, v)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "C3", "G2", "F4", "D4"])
