@@ -1,17 +1,18 @@
 """Exponentials, Weyl denominators and characters at rational torus points.
 
-Angles are exact rationals reduced mod 1 before any float conversion, so grid
-sums built from these values only carry double-precision rounding noise, never
-angle drift.
-
-Characters use an exact integer residue kernel.  With D the lcm of the
-denominators of gram_weights, G = D * gram_weights, d_x the lcm of the
-coordinate denominators of x and N = D * d_x, the integer vector
-h_w = w.action^T G (d_x x) gives (w a | x) = (a . h_w) / N for every integral
-weight a, so the angle reduced mod 1 is r / N with r = (a . h_w) mod N.  Both
-r / N and float(Fraction) are correctly rounded values of the same rational,
-so phases, and with the sum order kept characters, are bitwise identical to
-the Fraction path of eval_exp.
+Every exponential of an integral weight at a rational point is a root of
+unity, evaluated on an exact integer residue mod N, never on a float angle.
+With D the lcm of the denominators of gram_weights, G = D * gram_weights, d_x
+the lcm of the coordinate denominators of x and N = D * d_x, residues(rs, x)
+gives N and v = G (d_x x), so that (a | x) = residue(a, v) / N for every
+integral weight a.  For a Weyl element w, h_w = pullback(w, v) =
+w.action^T v gives (w a | x) = residue(a, h_w) / N.  The phase is
+exp(2 pi i (r mod N) / N); regularity (no residue of a root is 0 mod N),
+Weyl denominators, characters and the localization sum all read these
+residues.  r / N is the correctly rounded value of the angle, the same
+double as float() of the reduced Fraction angle, so with the Weyl order and
+every sum order kept the values are bitwise those of a Fraction evaluation
+(tests/test_chareval.py keeps one as the reference).
 """
 
 from __future__ import annotations
@@ -35,31 +36,65 @@ class SingularPointError(ValueError):
     """Character evaluation at a non-regular point other than the identity."""
 
 
-def unit_phase(angle: Fraction) -> complex:
-    """exp(2 pi i angle) with the angle reduced mod 1 exactly first."""
-    frac = angle - (angle.numerator // angle.denominator)
-    return cmath.exp(2j * cmath.pi * float(frac))
+# -- integer residue kernel -----------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _integer_gram(rs: RootSystem):
+    """(D, G): D the lcm of the gram_weights denominators, G = D * gram_weights."""
+    d = lcm(*(c.denominator for row in rs.gram_weights for c in row))
+    return d, tuple(tuple(int(c * d) for c in row) for row in rs.gram_weights)
 
 
-def pairing(rs: RootSystem, lam: Weight, x: TorusPoint) -> Fraction:
-    return inner(rs, lam, x.mu_star)
+def residues(rs: RootSystem, x: TorusPoint) -> tuple[int, list[int]]:
+    """(N, v) with (a | x) = residue(a, v) / N exactly for every integral weight a."""
+    d, gram = _integer_gram(rs)
+    dx = lcm(*(c.denominator for c in x.mu_star.coords))
+    return d * dx, [sum(g * int(c * dx) for g, c in zip(row, x.mu_star.coords))
+                    for row in gram]
 
 
-def eval_exp(rs: RootSystem, lam: Weight, x: TorusPoint) -> complex:
-    """Value of the exponential e^lam at the torus point x."""
-    return unit_phase(pairing(rs, lam, x))
+def residue(a: Weight, v) -> int:
+    """The integer a . v; e^a is a function on the torus only for integral a."""
+    if not a.is_integral:
+        raise ValueError("exponential of a non-integral weight at a torus point")
+    return sum(int(c) * vi for c, vi in zip(a.coords, v))
 
 
-def weyl_denominator(rs: RootSystem, x: TorusPoint) -> complex:
-    out = 1.0 + 0j
-    for alpha in rs.positive_roots:
-        out *= 1 - unit_phase(-pairing(rs, alpha, x))
+def pullback(w: weyl.WeylElement, v) -> list[int]:
+    """h_w = w.action^T v, so that (w a | x) = residue(a, h_w) / N."""
+    return [sum(row[j] * vi for row, vi in zip(w.action, v)) for j in range(len(v))]
+
+
+def phase(r: int, n: int) -> complex:
+    """exp(2 pi i (r mod n) / n)."""
+    return cmath.exp(2j * cmath.pi * ((r % n) / n))
+
+
+def denominator(roots, n: int, h) -> complex:
+    """prod over roots beta of (1 - e^{-beta}) at the point with residues (n, h)."""
+    out = 1 + 0j
+    for beta in roots:
+        out *= 1 - phase(-residue(beta, h), n)
     return out
 
 
+def localization_term(rs: RootSystem, lam: Weight, n: int, h) -> complex:
+    """e^{w lam} / prod_{alpha > 0} (1 - e^{-w alpha}) at x, for h = pullback(w, v)."""
+    term = phase(residue(lam, h), n)
+    for alpha in rs.positive_roots:
+        term /= 1 - phase(-residue(alpha, h), n)
+    return term
+
+
+def weyl_denominator(rs: RootSystem, x: TorusPoint) -> complex:
+    n, v = residues(rs, x)
+    return denominator(rs.positive_roots, n, v)
+
+
 def is_regular(rs: RootSystem, x: TorusPoint) -> bool:
-    """No root takes an integer value at x (exact test)."""
-    return all(pairing(rs, alpha, x).denominator != 1 for alpha in rs.positive_roots)
+    """No root takes an integer value at x (exact: no root residue is 0 mod N)."""
+    n, v = residues(rs, x)
+    return all(residue(alpha, v) % n for alpha in rs.positive_roots)
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
@@ -69,33 +104,6 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
         num *= inner(rs, shifted, alpha) / inner(rs, rs.rho, alpha)
     assert num.denominator == 1
     return int(num)
-
-
-# -- integer residue kernel -----------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _integer_form(rs: RootSystem):
-    """(D, G, roots): G = D * gram_weights and the positive roots, as integers."""
-    d = lcm(*(c.denominator for row in rs.gram_weights for c in row))
-    gram = tuple(tuple(int(c * d) for c in row) for row in rs.gram_weights)
-    roots = tuple(tuple(int(c) for c in alpha.coords) for alpha in rs.positive_roots)
-    return d, gram, roots
-
-
-def _residues(rs: RootSystem, x: TorusPoint):
-    """(N, [(sign, h_w)] in Weyl order) with (w a | x) = (a . h_w) / N.
-
-    The list is None when some positive root has an integer pairing with x.
-    """
-    d, gram, roots = _integer_form(rs)
-    dx = lcm(*(c.denominator for c in x.mu_star.coords))
-    v = [sum(g * int(c * dx) for g, c in zip(row, x.mu_star.coords)) for row in gram]
-    n = d * dx
-    if any(sum(map(mul, alpha, v)) % n == 0 for alpha in roots):
-        return n, None
-    cols = range(len(v))
-    return n, [(w.sign, [sum(row[j] * vi for row, vi in zip(w.action, v)) for j in cols])
-               for w in weyl.enumerate_weyl(rs)]
 
 
 def characters(rs: RootSystem, lams, x: TorusPoint) -> list[complex | None]:
@@ -108,19 +116,17 @@ def characters(rs: RootSystem, lams, x: TorusPoint) -> list[complex | None]:
         raise ValueError("highest weight must be dominant integral")
     if x.is_zero:
         return [complex(weyl_dimension(rs, lam)) for lam in lams]
-    n, hs = _residues(rs, x)
-    if hs is None:
+    if not is_regular(rs, x):
         return [None] * len(lams)
-
-    @lru_cache(maxsize=None)
-    def phase(r: int) -> complex:
-        return cmath.exp(2j * cmath.pi * (r / n))
+    n, v = residues(rs, x)
+    hs = [(w.sign, pullback(w, v)) for w in weyl.enumerate_weyl(rs)]
+    cached_phase = lru_cache(maxsize=None)(lambda r: phase(r, n))
 
     def alternating_sum(a: Weight) -> complex:
-        a = [int(c) for c in a.coords]
+        a = [int(c) for c in a.coords]  # residue(a, h), integer coordinates made once
         total = 0j
         for sign, h in hs:
-            total += sign * phase(sum(map(mul, a, h)) % n)
+            total += sign * cached_phase(sum(map(mul, a, h)) % n)
         return total
 
     den = alternating_sum(rs.rho)
@@ -144,16 +150,14 @@ def localization_sum(rs: RootSystem, lam: Weight, x: TorusPoint) -> complex:
     """Sum over the Weyl group of e^{w lam} / prod(1 - e^{-w alpha}) at x.
 
     Agrees with the character quotient for dominant integral lam; defined for
-    any lam at regular x.
+    any integral lam at regular x.
     """
     if not is_regular(rs, x):
         raise SingularPointError("localization sum has poles at singular points")
+    n, v = residues(rs, x)
     total = 0j
     for w in weyl.enumerate_weyl(rs):
-        term = eval_exp(rs, weyl.act(w, lam), x)
-        for alpha in rs.positive_roots:
-            term /= 1 - eval_exp(rs, -weyl.act(w, alpha), x)
-        total += term
+        total += localization_term(rs, lam, n, pullback(w, v))
     return total
 
 

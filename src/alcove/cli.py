@@ -296,12 +296,12 @@ def _verify_suites(rs, cfg: RunConfig):
     def levelshift_suite():
         worst = 0.0
         count = 0
+        lams = rootdata.weights_at_level(rs, cfg.level)[:4]
+        points = levelshift.regular_lattice_points(rs, cfg.level)[:8]
         for _, fd in stabilizers.enumerate_faces(rs):
             if not fd.on_affine_wall:
                 continue
-            lams = rootdata.weights_at_level(rs, cfg.level)
-            points = levelshift.regular_lattice_points(rs, cfg.level)[:8]
-            for lam in lams[:4]:
+            for lam in lams:
                 for wit in levelshift.wall_witnesses(rs, fd, cfg.level, lam):
                     for x in points:
                         try:

@@ -86,39 +86,29 @@ def fundamental_formula_residual(rs: RootSystem, x: TorusPoint, y: TorusPoint) -
     The sum vanishes identically; the returned value is therefore the
     residual.  Raises PoleError if any factor vanishes (tested exactly).
     """
+    if not (chareval.is_regular(rs, x) and chareval.is_regular(rs, y)):
+        raise PoleError("root factor vanishes")
     group = weyl.enumerate_weyl(rs)
-    fund = [rs.fundamental_weight(i) for i in range(rs.rank)]
-    root_x, root_y, fund_x, fund_y = {}, {}, {}, {}
-    for w in group:
-        root_x[w.word] = [chareval.pairing(rs, weyl.act(w, a), x) for a in rs.positive_roots]
-        root_y[w.word] = [chareval.pairing(rs, weyl.act(w, a), y) for a in rs.positive_roots]
-        fund_x[w.word] = [chareval.pairing(rs, weyl.act(w, f), x) for f in fund]
-        fund_y[w.word] = [chareval.pairing(rs, weyl.act(w, f), y) for f in fund]
-        if any(p.denominator == 1 for p in root_x[w.word] + root_y[w.word]):
-            raise PoleError("root factor vanishes")
-    for w in group:
-        for v in group:
-            if any((fund_x[w.word][i] + fund_y[v.word][i]).denominator == 1
-                   for i in range(rs.rank)):
-                raise PoleError("weight factor vanishes")
+    nx, vx = chareval.residues(rs, x)
+    ny, vy = chareval.residues(rs, y)
+    hx = [chareval.pullback(w, vx) for w in group]
+    hy = [chareval.pullback(w, vy) for w in group]
+    # (w Lambda_i | x) + (u Lambda_i | y) = (hx[w][i] ny + hy[u][i] nx) / (nx ny)
+    n = nx * ny
+    fund_x = [[r * ny for r in h] for h in hx]
+    fund_y = [[r * nx for r in h] for h in hy]
+    if any((p + q) % n == 0 for fx in fund_x for fy in fund_y for p, q in zip(fx, fy)):
+        raise PoleError("weight factor vanishes")
 
-    den_x = {}
-    den_y = {}
-    for w in group:
-        dx = 1 + 0j
-        dy = 1 + 0j
-        for p in root_x[w.word]:
-            dx *= 1 - chareval.unit_phase(-p)
-        for p in root_y[w.word]:
-            dy *= 1 - chareval.unit_phase(-p)
-        den_x[w.word], den_y[w.word] = dx, dy
+    den_x = [chareval.denominator(rs.positive_roots, nx, h) for h in hx]
+    den_y = [chareval.denominator(rs.positive_roots, ny, h) for h in hy]
     total = 0j
-    for w in group:
-        for v in group:
+    for fx, dx in zip(fund_x, den_x):
+        for fy, dy in zip(fund_y, den_y):
             mid = 1 + 0j
-            for i in range(rs.rank):
-                mid *= 1 - chareval.unit_phase(fund_x[w.word][i] + fund_y[v.word][i])
-            total += 1 / (den_x[w.word] * mid * den_y[v.word])
+            for p, q in zip(fx, fy):
+                mid *= 1 - chareval.phase(p + q, n)
+            total += 1 / (dx * mid * dy)
     return total
 
 
@@ -148,14 +138,15 @@ def subset_identity_residual(rs: RootSystem, x: TorusPoint,
     """
     if generators is None:
         generators = [rs.simple_root(i) for i in range(rs.rank)]
-    group = weyl.enumerate_weyl(rs)
+    n, v = chareval.residues(rs, x)
     m = len(generators)
     total = 0j
-    for w in group:
-        pairings = [chareval.pairing(rs, weyl.act(w, g), x) for g in generators]
-        if any(p.denominator == 1 for p in pairings):
+    for w in weyl.enumerate_weyl(rs):
+        h = chareval.pullback(w, v)
+        rem = [chareval.residue(g, h) for g in generators]
+        if any(r % n == 0 for r in rem):
             raise PoleError("subset factor vanishes")
-        vals = [chareval.unit_phase(p) for p in pairings]
+        vals = [chareval.phase(r, n) for r in rem]
         for size in range(0 if include_empty else 1, m + 1):
             for subset in combinations(range(m), size):
                 term = complex((-1) ** size)

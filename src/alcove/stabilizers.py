@@ -161,8 +161,9 @@ def stabilizer_generators(rs: RootSystem, fd: FaceData) -> list[tuple[str, WeylE
     return out
 
 
-def stabilizer_subgroup(rs: RootSystem, fd: FaceData) -> list[tuple[WeylElement, AffineWeylElement]]:
-    """Close the generator pairs under multiplication (finite copy of W_mu)."""
+@lru_cache(maxsize=None)
+def stabilizer_subgroup(rs: RootSystem, fd: FaceData) -> tuple[tuple[WeylElement, AffineWeylElement], ...]:
+    """Close the generator pairs under multiplication (finite copy of W_mu, cached)."""
     gens = [(fin, aff) for _, fin, aff in stabilizer_generators(rs, fd)]
     ident = (weyl.identity_element(rs), weyl.identity_affine(rs))
     seen = {ident[0].action: ident}
@@ -176,7 +177,7 @@ def stabilizer_subgroup(rs: RootSystem, fd: FaceData) -> list[tuple[WeylElement,
                     seen[cand[0].action] = cand
                     nxt.append(cand)
         frontier = nxt
-    return sorted(seen.values(), key=lambda p: (len(p[0].word), p[0].word))
+    return tuple(sorted(seen.values(), key=lambda p: (len(p[0].word), p[0].word)))
 
 
 def rho_shift(rs: RootSystem, fd: FaceData, w: WeylElement) -> RhoShift:

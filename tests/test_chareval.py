@@ -7,25 +7,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alcove import chareval, conventions, identities, rootdata, weyl
-from alcove.chareval import SingularPointError, character, eval_exp, is_regular, \
-    localization_sum, weyl_denominator
-from alcove.rootdata import TorusPoint, from_name
+from alcove.chareval import SingularPointError, character, is_regular, localization_sum, \
+    phase, pullback, residue, residues, weyl_denominator
+from alcove.rootdata import TorusPoint, from_name, inner
 
 
 def point(rs, coords):
     return TorusPoint(rs.weight_from_coords(coords))
 
 
+def exp_at(rs, lam, x):
+    """e^lam at x on the residue kernel."""
+    n, v = residues(rs, x)
+    return phase(residue(lam, v), n)
+
+
 def test_eval_exp_examples():
     a1 = from_name("A1")
     x = point(a1, [Fraction(1, 3)])
-    assert eval_exp(a1, a1.zero_weight(), x) == 1
+    assert exp_at(a1, a1.zero_weight(), x) == 1
     half = point(a1, [1])  # (Lambda_1 | mu) = 1/2
-    assert abs(eval_exp(a1, a1.fundamental_weight(0), half) + 1) < 1e-12
+    assert abs(exp_at(a1, a1.fundamental_weight(0), half) + 1) < 1e-12
     # theta paired against (Lambda_1 + rho)/3
     grid_pt = TorusPoint((a1.fundamental_weight(0) + a1.rho).scale(Fraction(1, 3)))
     expected = cmath.exp(4j * cmath.pi / 3)
-    assert abs(eval_exp(a1, a1.highest_root, grid_pt) - expected) < 1e-12
+    assert abs(exp_at(a1, a1.highest_root, grid_pt) - expected) < 1e-12
 
 
 def test_angles_reduced_exactly():
@@ -33,7 +39,34 @@ def test_angles_reduced_exactly():
     # a huge integer angle must evaluate to exactly 1, no drift
     lam = a1.fundamental_weight(0).scale(10 ** 12)
     x = point(a1, [2])
-    assert eval_exp(a1, lam, x) == 1
+    assert exp_at(a1, lam, x) == 1
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "C3"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_residue_is_the_exact_pairing(name, data):
+    rs = from_name(name)
+    a = rs.weight_from_coords(data.draw(st.lists(st.integers(-50, 50), min_size=rs.rank,
+                                                 max_size=rs.rank)))
+    x = TorusPoint(rs.weight_from_coords(data.draw(st.lists(
+        st.fractions(-3, 3, max_denominator=60), min_size=rs.rank, max_size=rs.rank))))
+    n, v = residues(rs, x)
+    assert Fraction(residue(a, v), n) == inner(rs, a, x.mu_star)
+    group = weyl.enumerate_weyl(rs)
+    w = group[data.draw(st.integers(0, len(group) - 1))]
+    assert Fraction(residue(a, pullback(w, v)), n) == inner(rs, weyl.act(w, a), x.mu_star)
+
+
+def test_non_integral_weight_has_no_exponential():
+    a2 = from_name("A2")
+    half = a2.fundamental_weight(0).scale(Fraction(1, 2))
+    x = point(a2, [Fraction(1, 5), Fraction(1, 7)])
+    _, v = residues(a2, x)
+    with pytest.raises(ValueError):
+        residue(half, v)
+    with pytest.raises(ValueError):
+        localization_sum(a2, half, x)
 
 
 def test_weyl_denominator_values():
@@ -196,13 +229,43 @@ def test_special_grid_mode_dispatch():
         chareval.special_grid(a1, 1, "diagonal")
 
 
+# -- the Fraction path: the reference for the residue kernel --------------------
+
+def fraction_exp(rs, lam, x):
+    """e^lam at x from the exact Fraction pairing, reduced mod 1 before the float."""
+    angle = inner(rs, lam, x.mu_star)
+    frac = angle - (angle.numerator // angle.denominator)
+    return cmath.exp(2j * cmath.pi * float(frac))
+
+
+def fraction_is_regular(rs, x):
+    return all(inner(rs, alpha, x.mu_star).denominator != 1 for alpha in rs.positive_roots)
+
+
+def fraction_denominator(rs, x):
+    out = 1.0 + 0j
+    for alpha in rs.positive_roots:
+        out *= 1 - fraction_exp(rs, -alpha, x)
+    return out
+
+
+def fraction_localization_sum(rs, lam, x):
+    total = 0j
+    for w in weyl.enumerate_weyl(rs):
+        term = fraction_exp(rs, weyl.act(w, lam), x)
+        for alpha in rs.positive_roots:
+            term /= 1 - fraction_exp(rs, -weyl.act(w, alpha), x)
+        total += term
+    return total
+
+
 def fraction_path_character(rs, lam, x):
-    """Weyl quotient from exact Fraction pairings: the reference for the residue kernel."""
+    """Weyl quotient from exact Fraction pairings."""
     num = 0j
     den = 0j
     for w in weyl.enumerate_weyl(rs):
-        num += w.sign * eval_exp(rs, weyl.act(w, lam + rs.rho), x)
-        den += w.sign * eval_exp(rs, weyl.act(w, rs.rho), x)
+        num += w.sign * fraction_exp(rs, weyl.act(w, lam + rs.rho), x)
+        den += w.sign * fraction_exp(rs, weyl.act(w, rs.rho), x)
     return num / den
 
 
@@ -215,11 +278,12 @@ def test_character_table_is_bitwise_the_fraction_path(name, k, mode):
     assert table.weights == tuple(rootdata.weights_at_level(rs, k))
     assert [w for _, _, w in conventions.grid_measure(rs, k, mode)] == list(table.measure)
     for t, x in enumerate(table.points):
-        assert table.regular[t] == is_regular(rs, x)
+        assert table.regular[t] == is_regular(rs, x) == fraction_is_regular(rs, x)
+        assert weyl_denominator(rs, x) == fraction_denominator(rs, x)
         for lam, row in zip(table.weights, table.values):
             if x.is_zero:
                 expected = complex(chareval.weyl_dimension(rs, lam))
-            elif not is_regular(rs, x):
+            elif not fraction_is_regular(rs, x):
                 expected = None
             else:
                 expected = fraction_path_character(rs, lam, x)
@@ -236,6 +300,9 @@ def test_character_at_random_points_is_bitwise_the_fraction_path(name):
     lams = rootdata.weights_at_level(rs, 2)
     for _ in range(10):
         x = identities.random_rational_point(rs, rng)
+        assert is_regular(rs, x) == fraction_is_regular(rs, x)
+        assert weyl_denominator(rs, x) == fraction_denominator(rs, x)
         if is_regular(rs, x):
             lam = lams[rng.randrange(len(lams))]
             assert character(rs, lam, x) == fraction_path_character(rs, lam, x)
+            assert localization_sum(rs, lam, x) == fraction_localization_sum(rs, lam, x)
