@@ -1,10 +1,10 @@
-"""Command-line surface: data dumps, character tables, fusion, verification.
+"""Command-line surface: parse arguments, print data dumps and verify reports.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numerical-integrity error.  JSON is canonical; CSV is a lossy convenience
-export with complex entries rendered as "re+imi" strings.  All randomness
-flows from the seed in the run configuration; identical configurations
-produce byte-identical artifacts.
+export with complex entries rendered as "re+imi" strings.  The suites live in
+alcove.verify; --tolerance, --seed and --samples are options of `verify` only.
+Identical configurations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import chareval, conventions, identities, levelshift, rootdata, stabilizers, verlinde, weyl
+from . import chareval, conventions, rootdata, stabilizers, verify, verlinde, weyl
 from .rootdata import ConfigurationError, TorusPoint
 
 EXIT_OK = 0
@@ -30,9 +30,6 @@ class RunConfig:
     rank: int
     level: int = 1
     grid_mode: str | None = None
-    tolerance: float | None = None  # None: per-suite defaults
-    seed: int = 2024
-    samples: int = 100
     fmt: str = "json"
     out: str | None = None
 
@@ -41,13 +38,13 @@ def format_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
-def _emit(cfg: RunConfig, payload, csv_rows=None) -> None:
-    if cfg.fmt == "csv" and csv_rows is not None:
+def _emit(fmt: str, out: str | None, payload, csv_rows=None) -> None:
+    if fmt == "csv" and csv_rows is not None:
         text = "\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n"
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -90,7 +87,7 @@ def cmd_roots(cfg: RunConfig, with_elements: bool = False) -> int:
         data["weyl_elements"] = [{"word": list(w.word), "sign": w.sign,
                                   "action": [list(row) for row in w.action]}
                                  for w in weyl.enumerate_weyl(rs)]
-    _emit(cfg, data)
+    _emit(cfg.fmt, cfg.out, data)
     return EXIT_OK
 
 
@@ -108,7 +105,8 @@ def cmd_faces(cfg: RunConfig) -> int:
             "epsilon_covee": [str(c) for c in fd.epsilon_covee],
             "isotropy_order": fd.isotropy_order,
         })
-    _emit(cfg, {"schema": "alcove/faces/v1", "system": f"{cfg.series}{cfg.rank}", "faces": rows})
+    _emit(cfg.fmt, cfg.out, {"schema": "alcove/faces/v1", "system": f"{cfg.series}{cfg.rank}",
+                             "faces": rows})
     return EXIT_OK
 
 
@@ -117,9 +115,9 @@ def cmd_char(cfg: RunConfig, weight_text: str, point_text: str) -> int:
     lam = _parse_weight(rs, weight_text)
     x = _parse_point(rs, point_text)
     value = chareval.character(rs, lam, x)
-    _emit(cfg, {"schema": "alcove/char/v1", "weight": _weight_label(lam),
-                "point": [str(c) for c in x.mu_star.coords],
-                "re": value.real, "im": value.imag})
+    _emit(cfg.fmt, cfg.out, {"schema": "alcove/char/v1", "weight": _weight_label(lam),
+                             "point": [str(c) for c in x.mu_star.coords],
+                             "re": value.real, "im": value.imag})
     return EXIT_OK
 
 
@@ -143,7 +141,7 @@ def cmd_grid(cfg: RunConfig) -> int:
     for lam, row in zip(lams, rows):
         csv_rows.append([_weight_label(lam)] +
                         ["" if v is None else format_complex(v) for v in row])
-    _emit(cfg, payload, csv_rows)
+    _emit(cfg.fmt, cfg.out, payload, csv_rows)
     return EXIT_OK
 
 
@@ -181,167 +179,36 @@ def cmd_fusion(cfg: RunConfig, pair: tuple[str, str] | None) -> int:
     csv_rows = [["a", "b"] + channels]
     for (a, b) in sorted(dense):
         csv_rows.append([a, b] + [dense[(a, b)].get(c, 0) for c in channels])
-    _emit(cfg, payload, csv_rows)
+    _emit(cfg.fmt, cfg.out, payload, csv_rows)
     return EXIT_OK
 
 
-# -- verification --------------------------------------------------------------
-
-def _verify_suites(rs, cfg: RunConfig):
-    """Closures for every identity suite of one root system."""
-    import random
-
-    name = f"{rs.series}{rs.rank}"
-
-    def tol(default: float) -> float:
-        return default if cfg.tolerance is None else cfg.tolerance
-
-    suites = []
-    suites.append(lambda: identities.fundamental_formula_suite(rs, cfg.samples, cfg.seed, tol(1e-8)))
-    suites.append(lambda: identities.subset_identity_suite(rs, cfg.samples, cfg.seed + 1, tol(1e-8)))
-
-    def rho_shift_suite():
-        failures = 0
-        count = 0
-        for _, fd in stabilizers.enumerate_faces(rs):
-            for label, fin, _ in stabilizers.stabilizer_generators(rs, fd):
-                shift = stabilizers.rho_shift(rs, fd, fin)
-                expected = rs.highest_root.scale(rs.dual_coxeter) if label == "affine" \
-                    else rs.zero_weight()
-                count += 1
-                if shift.wall_correction != expected:
-                    failures += 1
-        return identities.IdentityReport("rho_shift", name, count, float(failures), 0.0,
-                                         failures == 0, {"exact": True})
-
-    def lattice_phase_suite():
-        failures = 0
-        count = 0
-        probe_failed = False
-        for _, fd in stabilizers.enumerate_faces(rs):
-            for k in (1, 2, 3):
-                n = k + rs.dual_coxeter
-                for row in rs.lattice_Mstar_basis:
-                    t = tuple(Fraction(x, n) for x in row)
-                    count += 1
-                    if not stabilizers.lattice_phase_check(rs, fd, k, t):
-                        failures += 1
-                    bad = tuple(Fraction(x, n + 1) for x in row)
-                    if not stabilizers.lattice_phase_check(rs, fd, 1, bad, require_lattice=False):
-                        probe_failed = True
-        ok = failures == 0 and probe_failed
-        return identities.IdentityReport("lattice_phase", name, count, float(failures), 0.0,
-                                         ok, {"exact": True, "off_lattice_probe_failed": probe_failed})
-
-    for k in range(1, cfg.level + 1):
-        suites.append(lambda k=k: identities.orthogonality_suite(rs, k, cfg.grid_mode, tol(1e-7)))
-
-    def multiplicity_suite():
-        rng = random.Random(cfg.seed + 2)
-        worst = 0.0
-        exact = True
-        lws = verlinde.dominant_weights(rs, cfg.level)
-        for _ in range(min(cfg.samples, 25)):
-            m = {lam: rng.randrange(0, 10) for lam in lws.weights}
-            values = verlinde.synthesize(rs, cfg.level, m, cfg.grid_mode)
-            got = verlinde.extract_multiplicities(rs, cfg.level, values, cfg.grid_mode)
-            worst = max(worst, got.max_residual)
-            exact = exact and got.multiplicities == m
-        return identities.IdentityReport("multiplicity_inversion", name,
-                                         min(cfg.samples, 25), worst, 1e-6,
-                                         exact and worst < 1e-6, {"k": cfg.level})
-
-    def fusion_suite():
-        table = verlinde.fusion_table(rs, cfg.level, cfg.grid_mode)
-        ws, n = table.weights, table.dense
-        r = range(len(ws))
-        # (a b) c = a (b c): sum_e N_ab^e N_ec^d = sum_e N_bc^e N_ae^d
-        assoc_ok = all(sum(n[a][b][e] * n[e][c][d] for e in r)
-                       == sum(n[b][c][e] * n[a][e][d] for e in r)
-                       for a in r for b in r for c in r for d in r)
-        ok = assoc_ok and table.max_residual < verlinde.INTEGRALITY_TOLERANCE
-        return identities.IdentityReport("fusion", name, len(ws) ** 3, table.max_residual,
-                                         verlinde.INTEGRALITY_TOLERANCE, ok,
-                                         {"k": cfg.level, "associative": assoc_ok})
-
-    def character_suite():
-        rng = random.Random(cfg.seed + 3)
-        lams = rootdata.weights_at_level(rs, min(cfg.level, 3))
-
-        def draw() -> float:
-            x = identities.random_rational_point(rs, rng)
-            if not chareval.is_regular(rs, x):
-                raise identities.PoleError("singular sample point")
-            lam = lams[rng.randrange(len(lams))]
-            return abs(chareval.character(rs, lam, x) - chareval.localization_sum(rs, lam, x))
-
-        zero = TorusPoint(rs.zero_weight())
-        dims_ok = all(chareval.character(rs, lam, zero) == chareval.weyl_dimension(rs, lam)
-                      for lam in lams)
-        return identities.sampled_report("character_consistency", rs, cfg.samples, tol(1e-9),
-                                         draw, dims_ok, {"dimension_fallback_exact": dims_ok})
-
-    def regularity_suite():
-        shifted_ok = all(chareval.is_regular(rs, p)
-                         for _, p in chareval.shifted_grid(rs, cfg.level))
-        mismatch = 0
-        for _, p in chareval.full_grid(rs, cfg.level):
-            d = abs(chareval.weyl_denominator(rs, p))
-            if chareval.is_regular(rs, p) != (d > 1e-9):
-                mismatch += 1
-        ok = shifted_ok and mismatch == 0
-        return identities.IdentityReport("regularity", name, 1, float(mismatch), 0.0, ok,
-                                         {"all_shifted_regular": shifted_ok})
-
-    def levelshift_suite():
-        worst = 0.0
-        count = 0
-        lams = rootdata.weights_at_level(rs, cfg.level)[:4]
-        points = levelshift.regular_lattice_points(rs, cfg.level)[:8]
-        for _, fd in stabilizers.enumerate_faces(rs):
-            if not fd.on_affine_wall:
-                continue
-            for lam in lams:
-                for wit in levelshift.wall_witnesses(rs, fd, cfg.level, lam):
-                    for x in points:
-                        try:
-                            worst = max(worst, abs(levelshift.shift_rule_residual(rs, wit, x)))
-                            count += 1
-                        except identities.PoleError:
-                            continue
-        return identities.IdentityReport("levelshift", name, count, worst, tol(1e-9),
-                                         count > 0 and worst < tol(1e-9), {"k": cfg.level})
-
-    suites += [rho_shift_suite, lattice_phase_suite, multiplicity_suite,
-               fusion_suite, character_suite, regularity_suite, levelshift_suite]
-    return suites
-
-
-def cmd_verify(cfg: RunConfig, systems: list[tuple[str, int]]) -> int:
-    suites = []
-    for series, rank in systems:
-        rs = rootdata.build_root_system(series, rank)
-        suites.extend(_verify_suites(rs, cfg))
-    reports = [s() for s in suites]
-    _emit(cfg, {"schema": "alcove/verify/v1",
-                "reports": [r.to_json_dict() for r in reports]})
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.tolerance is not None and args.tolerance <= 0:
+        raise ConfigurationError("tolerance must be positive")
+    if args.samples <= 0:
+        raise ConfigurationError("samples must be positive")
+    if (args.series is None) != (args.rank is None):
+        raise ConfigurationError("give both --series and --rank, or neither")
+    systems = [(args.series, args.rank)] if args.series else [("A", 1), ("A", 2)]
+    settings = verify.Settings(args.level, args.grid, args.tolerance, args.seed, args.samples)
+    reports = [report for series, rank in systems
+               for report in verify.run(rootdata.build_root_system(series, rank), settings)]
+    _emit(args.fmt, args.out,
+          {"schema": "alcove/verify/v1", "reports": [r.to_json_dict() for r in reports]})
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFICATION
 
 
 # -- argument parsing ----------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, need_system: bool = True) -> None:
-    if need_system:
-        p.add_argument("--series", required=True, help="series letter A..G")
-        p.add_argument("--rank", required=True, type=int)
+def _add_common(p: argparse.ArgumentParser, required: bool = True) -> argparse.ArgumentParser:
+    p.add_argument("--series", required=required, help="series letter A..G")
+    p.add_argument("--rank", required=required, type=int)
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--grid", choices=[chareval.GRID_SHIFTED, chareval.GRID_FULL], default=None)
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="override every suite tolerance (default: per-suite)")
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--samples", type=int, default=100)
     p.add_argument("--format", choices=["json", "csv"], default="json", dest="fmt")
     p.add_argument("--out", default=None)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,47 +216,32 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Alcove combinatorics, characters and fusion data "
                                                  "for simple compact Lie groups.")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_roots = sub.add_parser("roots")
-    _add_common(p_roots)
+    p_roots = _add_common(sub.add_parser("roots"))
     p_roots.add_argument("--elements", action="store_true",
                          help="include the Weyl element list")
     for name in ("faces", "grid"):
         _add_common(sub.add_parser(name))
-    p_char = sub.add_parser("char")
-    _add_common(p_char)
+    p_char = _add_common(sub.add_parser("char"))
     p_char.add_argument("--weight", required=True, help="comma-separated coordinates")
     p_char.add_argument("--point", required=True, help="comma-separated rationals")
-    p_fusion = sub.add_parser("fusion")
-    _add_common(p_fusion)
+    p_fusion = _add_common(sub.add_parser("fusion"))
     p_fusion.add_argument("--pair", nargs=2, metavar=("A", "B"), default=None)
-    p_verify = sub.add_parser("verify")
-    _add_common(p_verify, need_system=False)
-    p_verify.add_argument("--series", default=None)
-    p_verify.add_argument("--rank", type=int, default=None)
+    p_verify = _add_common(sub.add_parser("verify"), required=False)
+    p_verify.add_argument("--tolerance", type=float, default=None,
+                          help="override the sampled, orthogonality and levelshift tolerances")
+    p_verify.add_argument("--seed", type=int, default=verify.Settings.seed)
+    p_verify.add_argument("--samples", type=int, default=verify.Settings.samples)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tolerance is not None and args.tolerance <= 0:
-        print("error: tolerance must be positive", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.samples <= 0:
-        print("error: samples must be positive", file=sys.stderr)
-        return EXIT_CONFIG
     try:
+        if args.level < 0:
+            raise ConfigurationError("level must be nonnegative")
         if args.command == "verify":
-            if (args.series is None) != (args.rank is None):
-                print("error: give both --series and --rank, or neither", file=sys.stderr)
-                return EXIT_CONFIG
-            systems = [(args.series, args.rank)] if args.series else [("A", 1), ("A", 2)]
-            cfg = RunConfig(series=systems[0][0], rank=systems[0][1], level=args.level,
-                            grid_mode=args.grid, tolerance=args.tolerance, seed=args.seed,
-                            samples=args.samples, fmt=args.fmt, out=args.out)
-            return cmd_verify(cfg, systems)
-        cfg = RunConfig(series=args.series, rank=args.rank, level=args.level,
-                        grid_mode=args.grid, tolerance=args.tolerance, seed=args.seed,
-                        samples=args.samples, fmt=args.fmt, out=args.out)
+            return cmd_verify(args)
+        cfg = RunConfig(args.series, args.rank, args.level, args.grid, args.fmt, args.out)
         if args.command == "roots":
             return cmd_roots(cfg, args.elements)
         if args.command == "faces":

@@ -1,14 +1,14 @@
-"""Numerical certification of the standalone algebraic identities.
+"""The standalone algebraic identities, evaluated at torus points.
 
 Three families: the vanishing double Weyl sum, the alternating subset sum,
 and the grid orthogonality of characters.  Sample points are random rationals
-with prime denominators, pole-tested exactly before any float evaluation.
+with prime denominators, pole-tested exactly before any float evaluation;
+alcove.verify turns the residuals into reports.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,59 +23,15 @@ PRIME_DENOMINATORS = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151,
                       419, 421, 431, 433, 439, 443, 449, 457, 461, 463, 467,
                       479, 487, 491, 499)
 
-# Resample budget of a sampled suite: at most this many draws per requested
-# sample, so a pole-heavy sampler ends in a failed report, never a hang.
-MAX_DRAWS_PER_SAMPLE = 10
-
 
 class PoleError(ValueError):
     """A factor in the requested sum vanishes at the sample point; resample."""
-
-
-@dataclass
-class IdentityReport:
-    name: str
-    system: str
-    samples: int
-    max_residual: float
-    tolerance: float
-    passed: bool
-    detail: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "system": self.system, "samples": self.samples,
-                "max_residual": self.max_residual, "tolerance": self.tolerance,
-                "passed": self.passed, "detail": self.detail}
 
 
 def random_rational_point(rs: RootSystem, rng: random.Random) -> TorusPoint:
     den = rng.choice(PRIME_DENOMINATORS)
     coords = [Fraction(rng.randrange(1, den), den) for _ in range(rs.rank)]
     return TorusPoint(rs.weight_from_coords(coords))
-
-
-def sampled_report(name: str, rs: RootSystem, samples: int, tolerance: float, draw,
-                   ok: bool = True, detail: dict | None = None) -> IdentityReport:
-    """Report the worst residual over samples pole-free draws.
-
-    draw() returns one residual or raises PoleError; at most
-    MAX_DRAWS_PER_SAMPLE * samples draws are made.  The report counts the
-    samples checked, and fails when that is fewer than requested.
-    """
-    worst, done = 0.0, 0
-    for _ in range(MAX_DRAWS_PER_SAMPLE * samples):
-        if done == samples:
-            break
-        try:
-            worst = max(worst, draw())
-        except PoleError:
-            continue
-        done += 1
-    detail = dict(detail or {})
-    if done < samples:
-        detail["samples_requested"] = samples
-    return IdentityReport(name, f"{rs.series}{rs.rank}", done, worst, tolerance,
-                          ok and done == samples and worst < tolerance, detail)
 
 
 # -- the vanishing double Weyl sum --------------------------------------------
@@ -112,18 +68,6 @@ def fundamental_formula_residual(rs: RootSystem, x: TorusPoint, y: TorusPoint) -
     return total
 
 
-def fundamental_formula_suite(rs: RootSystem, samples: int, seed: int,
-                              tolerance: float = 1e-8) -> IdentityReport:
-    rng = random.Random(seed)
-
-    def draw() -> float:
-        x = random_rational_point(rs, rng)
-        y = random_rational_point(rs, rng)
-        return abs(fundamental_formula_residual(rs, x, y))
-
-    return sampled_report("fundamental_formula", rs, samples, tolerance, draw)
-
-
 # -- the alternating subset sum ------------------------------------------------
 
 def subset_identity_residual(rs: RootSystem, x: TorusPoint,
@@ -156,18 +100,6 @@ def subset_identity_residual(rs: RootSystem, x: TorusPoint,
     return total
 
 
-def subset_identity_suite(rs: RootSystem, samples: int, seed: int,
-                          tolerance: float = 1e-8) -> IdentityReport:
-    rng = random.Random(seed)
-    include = conventions.FROZEN.include_empty_subset
-
-    def draw() -> float:
-        x = random_rational_point(rs, rng)
-        return abs(subset_identity_residual(rs, x, include) - 1)
-
-    return sampled_report("subset_identity", rs, samples, tolerance, draw)
-
-
 # -- orthogonality on the evaluation grid ---------------------------------------
 
 def orthogonality_matrix(rs: RootSystem, k: int, grid_mode: str | None = None,
@@ -192,13 +124,3 @@ def orthogonality_matrix(rs: RootSystem, k: int, grid_mode: str | None = None,
                 s += row_b[t] * row_a[t].conjugate() * wgt
             matrix[a][b] = s
     return list(table.weights), matrix
-
-
-def orthogonality_suite(rs: RootSystem, k: int, grid_mode: str | None = None,
-                        tolerance: float = 1e-7) -> IdentityReport:
-    lams, matrix = orthogonality_matrix(rs, k, grid_mode)
-    worst = max(abs(matrix[a][b] - (1.0 if a == b else 0.0))
-                for a in range(len(lams)) for b in range(len(lams)))
-    return IdentityReport("orthogonality", f"{rs.series}{rs.rank}", len(lams) ** 2,
-                          worst, tolerance, worst < tolerance,
-                          {"k": k, "grid_mode": grid_mode or conventions.FROZEN.grid_mode})

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from alcove import cli, identities, levelshift
-from alcove.rootdata import TorusPoint
+from alcove import cli, identities, levelshift, verify
+from alcove.rootdata import TorusPoint, from_name
 
 
 def run(capsys, *args):
@@ -147,12 +147,48 @@ def test_negative_tolerance_rejected(capsys):
     ["char", "--series", "A", "--rank", "1", "--weight", "-1", "--point", "1/3"],
     ["fusion", "--series", "A", "--rank", "1", "--level", "1", "--pair", "5", "0"],
     ["grid", "--series", "E", "--rank", "8"],
-], ids=["point-1/0", "weight-x", "weight-negative", "pair-above-level", "grid-E8-cap"])
+    ["roots", "--series", "A", "--rank", "1", "--level", "-1"],
+], ids=["point-1/0", "weight-x", "weight-negative", "pair-above-level", "grid-E8-cap",
+        "roots-level-negative"])
 def test_bad_input_exits_2_with_one_line_error(capsys, args):
     code, out, err = run(capsys, *args)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["grid", "--series", "A", "--rank", "1", "--seed", "1"],
+    ["fusion", "--series", "A", "--rank", "1", "--samples", "3"],
+    ["char", "--series", "A", "--rank", "1", "--weight", "1", "--point", "1/3",
+     "--tolerance", "1e-9"],
+], ids=["grid-seed", "fusion-samples", "char-tolerance"])
+def test_verify_only_flags_rejected_elsewhere(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == "" and "unrecognized arguments" in err
+
+
+def test_verify_reports_suites_in_registry_order(capsys):
+    code, out, _ = run(capsys, "verify", "--series", "A", "--rank", "1",
+                       "--samples", "3", "--level", "2")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["name"] for r in reports] == [
+        "fundamental_formula", "subset_identity", "orthogonality", "orthogonality",
+        "rho_shift", "lattice_phase", "multiplicity_inversion", "fusion",
+        "character_consistency", "regularity", "levelshift"]
+    assert [r["detail"]["k"] for r in reports if r["name"] == "orthogonality"] == [1, 2]
+
+
+def test_library_run_matches_cli_reports(capsys):
+    code, out, _ = run(capsys, "verify", "--series", "A", "--rank", "1",
+                       "--samples", "3", "--level", "1")
+    reports = verify.run(from_name("A1"), verify.Settings(level=1, samples=3))
+    assert json.loads(out)["reports"] == [r.to_json_dict() for r in reports]
+    assert code == 0 and all(r.passed for r in reports)
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from alcove import conventions, identities, rootdata, weyl
+from alcove import conventions, identities, rootdata, verify, weyl
 from alcove.identities import (PoleError, fundamental_formula_residual,
                                orthogonality_matrix, random_rational_point,
                                subset_identity_residual)
@@ -143,11 +143,12 @@ def test_grid_measure_vanishes_at_singular_points():
 
 def test_suite_reports():
     a1 = from_name("A1")
-    rep = identities.fundamental_formula_suite(a1, 10, seed=5)
+    settings = verify.Settings(level=2, samples=10, seed=5)
+    [rep] = verify.fundamental_formula_suite(a1, settings)
     assert rep.passed and rep.samples == 10
-    rep = identities.subset_identity_suite(a1, 10, seed=5)
+    [rep] = verify.subset_identity_suite(a1, settings)
     assert rep.passed
-    rep = identities.orthogonality_suite(a1, 2)
+    rep = verify.orthogonality_suite(a1, settings)[-1]
     assert rep.passed and rep.detail["k"] == 2
     d = rep.to_json_dict()
     assert set(d) == {"name", "system", "samples", "max_residual", "tolerance",
@@ -155,7 +156,7 @@ def test_suite_reports():
 
 
 @pytest.mark.parametrize("suite,draws_per_sample", [
-    (identities.fundamental_formula_suite, 2), (identities.subset_identity_suite, 1)])
+    (verify.fundamental_formula_suite, 2), (verify.subset_identity_suite, 1)])
 def test_sampled_suite_with_only_poles_fails(monkeypatch, suite, draws_per_sample):
     a1 = from_name("A1")
     calls = []
@@ -165,10 +166,10 @@ def test_sampled_suite_with_only_poles_fails(monkeypatch, suite, draws_per_sampl
         return TorusPoint(rs.zero_weight())
 
     monkeypatch.setattr(identities, "random_rational_point", pole)
-    rep = suite(a1, 4, seed=0)
+    [rep] = suite(a1, verify.Settings(samples=4, seed=0))
     assert not rep.passed
     assert rep.samples == 0 and rep.detail == {"samples_requested": 4}
-    assert len(calls) == draws_per_sample * identities.MAX_DRAWS_PER_SAMPLE * 4
+    assert len(calls) == draws_per_sample * verify.MAX_DRAWS_PER_SAMPLE * 4
 
 
 def test_random_points_are_reproducible():
