@@ -1,9 +1,10 @@
 """Command-line surface: parse arguments, print data dumps and verify reports.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical-integrity error.  JSON is canonical; CSV is a lossy convenience
-export with complex entries rendered as "re+imi" strings.  The suites live in
-alcove.verify; --tolerance, --seed and --samples are options of `verify` only.
+3 numerical-integrity error.  JSON is canonical; `grid` and `fusion` also offer
+CSV, a lossy export with complex entries rendered as "re+imi" strings.  Each
+subcommand takes only the flags it reads: the suites live in alcove.verify, and
+--tolerance, --seed and --samples are options of `verify` only.
 Identical configurations produce byte-identical artifacts.
 """
 
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chareval, conventions, rootdata, stabilizers, verify, verlinde, weyl
@@ -24,22 +24,12 @@ EXIT_CONFIG = 2
 EXIT_INTEGRITY = 3
 
 
-@dataclass
-class RunConfig:
-    series: str
-    rank: int
-    level: int = 1
-    grid_mode: str | None = None
-    fmt: str = "json"
-    out: str | None = None
-
-
 def format_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
 def _emit(fmt: str, out: str | None, payload, csv_rows=None) -> None:
-    if fmt == "csv" and csv_rows is not None:
+    if fmt == "csv":
         text = "\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n"
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -73,8 +63,8 @@ def _parse_point(rs, text: str) -> TorusPoint:
 
 # -- subcommands ---------------------------------------------------------------
 
-def cmd_roots(cfg: RunConfig, with_elements: bool = False) -> int:
-    rs = rootdata.build_root_system(cfg.series, cfg.rank)
+def cmd_roots(args: argparse.Namespace) -> int:
+    rs = rootdata.build_root_system(args.series, args.rank)
     data = rs.to_json_dict()
     data["schema"] = "alcove/roots/v1"
     try:
@@ -82,17 +72,17 @@ def cmd_roots(cfg: RunConfig, with_elements: bool = False) -> int:
     except weyl.ResourceError:
         data["weyl_order"] = None
     data["lattice_index_at_level"] = {str(k): rootdata.lattice_index(rs, k)
-                                      for k in range(cfg.level + 1)}
-    if with_elements:
+                                      for k in range(args.level + 1)}
+    if args.elements:
         data["weyl_elements"] = [{"word": list(w.word), "sign": w.sign,
                                   "action": [list(row) for row in w.action]}
                                  for w in weyl.enumerate_weyl(rs)]
-    _emit(cfg.fmt, cfg.out, data)
+    _emit(args.fmt, args.out, data)
     return EXIT_OK
 
 
-def cmd_faces(cfg: RunConfig) -> int:
-    rs = rootdata.build_root_system(cfg.series, cfg.rank)
+def cmd_faces(args: argparse.Namespace) -> int:
+    rs = rootdata.build_root_system(args.series, args.rank)
     rows = []
     for walls, fd in stabilizers.enumerate_faces(rs):
         rows.append({
@@ -105,31 +95,31 @@ def cmd_faces(cfg: RunConfig) -> int:
             "epsilon_covee": [str(c) for c in fd.epsilon_covee],
             "isotropy_order": fd.isotropy_order,
         })
-    _emit(cfg.fmt, cfg.out, {"schema": "alcove/faces/v1", "system": f"{cfg.series}{cfg.rank}",
-                             "faces": rows})
+    _emit(args.fmt, args.out, {"schema": "alcove/faces/v1",
+                               "system": f"{args.series}{args.rank}", "faces": rows})
     return EXIT_OK
 
 
-def cmd_char(cfg: RunConfig, weight_text: str, point_text: str) -> int:
-    rs = rootdata.build_root_system(cfg.series, cfg.rank)
-    lam = _parse_weight(rs, weight_text)
-    x = _parse_point(rs, point_text)
+def cmd_char(args: argparse.Namespace) -> int:
+    rs = rootdata.build_root_system(args.series, args.rank)
+    lam = _parse_weight(rs, args.weight)
+    x = _parse_point(rs, args.point)
     value = chareval.character(rs, lam, x)
-    _emit(cfg.fmt, cfg.out, {"schema": "alcove/char/v1", "weight": _weight_label(lam),
-                             "point": [str(c) for c in x.mu_star.coords],
-                             "re": value.real, "im": value.imag})
+    _emit(args.fmt, args.out, {"schema": "alcove/char/v1", "weight": _weight_label(lam),
+                               "point": [str(c) for c in x.mu_star.coords],
+                               "re": value.real, "im": value.imag})
     return EXIT_OK
 
 
-def cmd_grid(cfg: RunConfig) -> int:
-    rs = rootdata.build_root_system(cfg.series, cfg.rank)
-    table = conventions.character_table(rs, cfg.level, cfg.grid_mode)
+def cmd_grid(args: argparse.Namespace) -> int:
+    rs = rootdata.build_root_system(args.series, args.rank)
+    table = conventions.character_table(rs, args.level, args.grid)
     lams, rows = table.weights, table.values
     points = [[str(c) for c in p.mu_star.coords] for p in table.points]
     labels = [";".join(p) for p in points]
     payload = {
         "schema": "alcove/grid/v1",
-        "system": f"{cfg.series}{cfg.rank}", "level": cfg.level, "grid_mode": table.mode,
+        "system": f"{args.series}{args.rank}", "level": args.level, "grid_mode": table.mode,
         "points": points,
         "regular": list(table.regular),
         "rows": [{"weight": _weight_label(lam),
@@ -141,22 +131,22 @@ def cmd_grid(cfg: RunConfig) -> int:
     for lam, row in zip(lams, rows):
         csv_rows.append([_weight_label(lam)] +
                         ["" if v is None else format_complex(v) for v in row])
-    _emit(cfg.fmt, cfg.out, payload, csv_rows)
+    _emit(args.fmt, args.out, payload, csv_rows)
     return EXIT_OK
 
 
-def cmd_fusion(cfg: RunConfig, pair: tuple[str, str] | None) -> int:
-    rs = rootdata.build_root_system(cfg.series, cfg.rank)
+def cmd_fusion(args: argparse.Namespace) -> int:
+    rs = rootdata.build_root_system(args.series, args.rank)
     try:
-        if pair:
-            a = _parse_weight(rs, pair[0])
-            b = _parse_weight(rs, pair[1])
-            row = verlinde.fusion_coefficients(rs, cfg.level, a, b, cfg.grid_mode)
+        if args.pair:
+            a = _parse_weight(rs, args.pair[0])
+            b = _parse_weight(rs, args.pair[1])
+            row = verlinde.fusion_coefficients(rs, args.level, a, b, args.grid)
             triples = [(_weight_label(a), _weight_label(b), _weight_label(c), n)
                        for c, n in row.items() if n]
             max_residual = None
         else:
-            table = verlinde.fusion_table(rs, cfg.level, cfg.grid_mode)
+            table = verlinde.fusion_table(rs, args.level, args.grid)
             labels = [_weight_label(lam) for lam in table.weights]
             triples = [(labels[a], labels[b], labels[c], n)
                        for a, slab in enumerate(table.dense)
@@ -166,20 +156,20 @@ def cmd_fusion(cfg: RunConfig, pair: tuple[str, str] | None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
     triples.sort()
-    payload = {"schema": "alcove/fusion/v1", "system": f"{cfg.series}{cfg.rank}",
-               "level": cfg.level,
+    payload = {"schema": "alcove/fusion/v1", "system": f"{args.series}{args.rank}",
+               "level": args.level,
                "triples": [{"a": a, "b": b, "c": c, "n": n} for a, b, c, n in triples]}
     if max_residual is not None:
         payload["max_rounding_residual"] = max_residual
     # CSV: dense slabs, one (a, b) row with a column per channel c
-    channels = [_weight_label(c) for c in verlinde.dominant_weights(rs, cfg.level).weights]
+    channels = [_weight_label(c) for c in verlinde.dominant_weights(rs, args.level).weights]
     dense = {(a, b): {} for a, b, _, _ in triples}
     for a, b, c, n in triples:
         dense[(a, b)][c] = n
     csv_rows = [["a", "b"] + channels]
     for (a, b) in sorted(dense):
         csv_rows.append([a, b] + [dense[(a, b)].get(c, 0) for c in channels])
-    _emit(cfg.fmt, cfg.out, payload, csv_rows)
+    _emit(args.fmt, args.out, payload, csv_rows)
     return EXIT_OK
 
 
@@ -201,12 +191,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # -- argument parsing ----------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, required: bool = True) -> argparse.ArgumentParser:
+def _add_common(p: argparse.ArgumentParser, run, required: bool = True, level: bool = True,
+                grid: bool = True, csv: bool = False) -> argparse.ArgumentParser:
+    """Shared flags of the subcommand run(args); --level, --grid and CSV only if it reads them."""
+    p.set_defaults(run=run)
     p.add_argument("--series", required=required, help="series letter A..G")
     p.add_argument("--rank", required=required, type=int)
-    p.add_argument("--level", type=int, default=1)
-    p.add_argument("--grid", choices=[chareval.GRID_SHIFTED, chareval.GRID_FULL], default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json", dest="fmt")
+    if level:
+        p.add_argument("--level", type=int, default=1)
+    if grid:
+        p.add_argument("--grid", choices=[chareval.GRID_SHIFTED, chareval.GRID_FULL], default=None)
+    p.add_argument("--format", choices=["json", "csv"] if csv else ["json"], default="json",
+                   dest="fmt")
     p.add_argument("--out", default=None)
     return p
 
@@ -216,17 +212,17 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Alcove combinatorics, characters and fusion data "
                                                  "for simple compact Lie groups.")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_roots = _add_common(sub.add_parser("roots"))
+    p_roots = _add_common(sub.add_parser("roots"), cmd_roots, grid=False)
     p_roots.add_argument("--elements", action="store_true",
                          help="include the Weyl element list")
-    for name in ("faces", "grid"):
-        _add_common(sub.add_parser(name))
-    p_char = _add_common(sub.add_parser("char"))
+    _add_common(sub.add_parser("faces"), cmd_faces, level=False, grid=False)
+    _add_common(sub.add_parser("grid"), cmd_grid, csv=True)
+    p_char = _add_common(sub.add_parser("char"), cmd_char, level=False, grid=False)
     p_char.add_argument("--weight", required=True, help="comma-separated coordinates")
     p_char.add_argument("--point", required=True, help="comma-separated rationals")
-    p_fusion = _add_common(sub.add_parser("fusion"))
+    p_fusion = _add_common(sub.add_parser("fusion"), cmd_fusion, csv=True)
     p_fusion.add_argument("--pair", nargs=2, metavar=("A", "B"), default=None)
-    p_verify = _add_common(sub.add_parser("verify"), required=False)
+    p_verify = _add_common(sub.add_parser("verify"), cmd_verify, required=False)
     p_verify.add_argument("--tolerance", type=float, default=None,
                           help="override the sampled, orthogonality and levelshift tolerances")
     p_verify.add_argument("--seed", type=int, default=verify.Settings.seed)
@@ -237,22 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.level < 0:
+        if getattr(args, "level", 0) < 0:  # faces and char take no --level
             raise ConfigurationError("level must be nonnegative")
-        if args.command == "verify":
-            return cmd_verify(args)
-        cfg = RunConfig(args.series, args.rank, args.level, args.grid, args.fmt, args.out)
-        if args.command == "roots":
-            return cmd_roots(cfg, args.elements)
-        if args.command == "faces":
-            return cmd_faces(cfg)
-        if args.command == "char":
-            return cmd_char(cfg, args.weight, args.point)
-        if args.command == "grid":
-            return cmd_grid(cfg)
-        if args.command == "fusion":
-            return cmd_fusion(cfg, tuple(args.pair) if args.pair else None)
-        raise AssertionError(args.command)
+        return args.run(args)
     except (ValueError, weyl.ResourceError) as exc:  # bad input, singular point, cap
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

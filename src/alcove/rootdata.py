@@ -298,7 +298,7 @@ class RootSystem:
             "marks": list(self.marks),
             "comarks": list(self.comarks),
             "dual_coxeter": self.dual_coxeter,
-            "weyl_order": None,  # filled by the CLI when the group is enumerated
+            "weyl_order": None,  # the CLI fills in weyl.weyl_order (None above the cap)
         }
 
     def __repr__(self) -> str:

@@ -5,6 +5,10 @@ its action on simple-coroot coordinates is derived from it, since W preserves
 the pairing <lam, v> = lam.coords . v.  Affine elements are (finite part,
 translation) pairs with the translation stored in simple-coroot coordinates.
 The level enters only when an element acts on a torus point.
+
+W is listed breadth-first by left multiplication with simple reflections,
+keyed by w(rho) (injective, as rho is regular); s_i * w differs from w only in
+the rows on the support of alpha_i, so each new element costs O(rank).
 """
 
 from __future__ import annotations
@@ -158,22 +162,26 @@ def order_formula(rs: RootSystem) -> int:
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(rs: RootSystem, cap: int) -> tuple[WeylElement, ...]:
-    if order_formula(rs) > cap:
-        raise ResourceError(f"Weyl group of order {order_formula(rs)} exceeds cap {cap}")
-    gens = [simple_reflection(rs, i) for i in range(rs.rank)]
-    ident = identity_element(rs)
-    seen: dict[IntMat, WeylElement] = {ident.action: ident}
-    frontier = [ident]
+    weyl_order(rs, cap)
+    # (k, alpha_i[k]) on the support of alpha_i: the only rows s_i * w changes
+    supports = [[(k, int(a)) for k, a in enumerate(rs.simple_root(i).coords) if a]
+                for i in range(rs.rank)]
+    seen = {(1,) * rs.rank: identity_element(rs)}  # keyed by w(rho)
+    frontier = list(seen.items())
     while frontier:
-        nxt: list[WeylElement] = []
-        for w in frontier:
-            for s in gens:
-                u = s * w  # BFS: words come out geodesic, hence reduced
-                if u.action not in seen:
-                    if len(seen) + 1 > cap:
-                        raise ResourceError(f"Weyl group larger than cap {cap}")
-                    seen[u.action] = u
-                    nxt.append(u)
+        nxt = []
+        for mu, w in frontier:
+            for i, support in enumerate(supports):
+                key = list(mu)  # s_i(mu) = mu - mu_i alpha_i
+                for k, a in support:
+                    key[k] -= a * mu[i]
+                key = tuple(key)
+                if key not in seen:  # BFS: words come out geodesic, hence reduced
+                    rows = list(w.action)  # s_i * w = M - alpha_i (x) M[i]
+                    for k, a in support:
+                        rows[k] = tuple(x - a * y for x, y in zip(rows[k], w.action[i]))
+                    seen[key] = WeylElement(tuple(rows), -w.sign, (i,) + w.word)
+                    nxt.append((key, seen[key]))
         frontier = nxt
     return tuple(sorted(seen.values(), key=lambda w: (len(w.word), w.word)))
 
@@ -183,8 +191,12 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> tuple[WeylEl
     return _enumerate_cached(rs, cap)
 
 
-def weyl_order(rs: RootSystem) -> int:
-    return len(enumerate_weyl(rs))
+def weyl_order(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> int:
+    """|W| from the degree formula; raises ResourceError above cap, as enumerate_weyl does."""
+    order = order_formula(rs)
+    if order > cap:
+        raise ResourceError(f"Weyl group of order {order} exceeds cap {cap}")
+    return order
 
 
 def longest_element(rs: RootSystem) -> WeylElement:

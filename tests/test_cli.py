@@ -148,8 +148,9 @@ def test_negative_tolerance_rejected(capsys):
     ["fusion", "--series", "A", "--rank", "1", "--level", "1", "--pair", "5", "0"],
     ["grid", "--series", "E", "--rank", "8"],
     ["roots", "--series", "A", "--rank", "1", "--level", "-1"],
+    ["grid", "--series", "A", "--rank", "1", "--level", "-1"],
 ], ids=["point-1/0", "weight-x", "weight-negative", "pair-above-level", "grid-E8-cap",
-        "roots-level-negative"])
+        "roots-level-negative", "grid-level-negative"])
 def test_bad_input_exits_2_with_one_line_error(capsys, args):
     code, out, err = run(capsys, *args)
     assert code == 2
@@ -169,6 +170,49 @@ def test_verify_only_flags_rejected_elsewhere(capsys, args):
     out, err = capsys.readouterr()
     assert exc.value.code == 2
     assert out == "" and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["faces", "--series", "B", "--rank", "2", "--level", "7"],
+    ["faces", "--series", "B", "--rank", "2", "--grid", "full"],
+    ["char", "--series", "A", "--rank", "1", "--weight", "1", "--point", "1/3", "--level", "2"],
+    ["char", "--series", "A", "--rank", "1", "--weight", "1", "--point", "1/3",
+     "--grid", "full"],
+    ["roots", "--series", "A", "--rank", "1", "--grid", "full"],
+], ids=["faces-level", "faces-grid", "char-level", "char-grid", "roots-grid"])
+def test_unread_flags_rejected(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == "" and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["roots", "--series", "A", "--rank", "1"],
+    ["faces", "--series", "A", "--rank", "1"],
+    ["char", "--series", "A", "--rank", "1", "--weight", "1", "--point", "1/3"],
+    ["verify", "--series", "A", "--rank", "1"],
+], ids=["roots", "faces", "char", "verify"])
+def test_csv_rejected_without_a_csv_form(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + ["--format", "csv"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == "" and "invalid choice: 'csv'" in err
+
+
+def test_fusion_csv_has_one_row_per_pair(capsys):
+    code, out, _ = run(capsys, "fusion", "--series", "A", "--rank", "1", "--level", "1",
+                       "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["a,b,0,1w0", "0,0,1,0", "0,1w0,0,1", "1w0,0,0,1", "1w0,1w0,1,0"]
+
+
+def test_roots_e7_order_is_null_above_the_cap(capsys):
+    code, out, _ = run(capsys, "roots", "--series", "E", "--rank", "7")
+    assert code == 0
+    assert json.loads(out)["weyl_order"] is None
 
 
 def test_verify_reports_suites_in_registry_order(capsys):

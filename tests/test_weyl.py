@@ -15,18 +15,63 @@ def is_negative_root_vector(rs, w):
     return all(x <= 0 for x in rs.root_coords(w)) and not w.is_zero
 
 
+def reference_enumeration(rs):
+    """The matrix-product BFS: full products s_i * w, duplicates keyed by the whole matrix."""
+    gens = [weyl.simple_reflection(rs, i) for i in range(rs.rank)]
+    ident = weyl.identity_element(rs)
+    seen = {ident.action: ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for s in gens:
+                u = s * w
+                if u.action not in seen:
+                    seen[u.action] = u
+                    nxt.append(u)
+        frontier = nxt
+    return sorted(seen.values(), key=lambda w: (len(w.word), w.word))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "B5", "C3",
+                                  "D4", "G2", "F4"])
+def test_enumeration_equals_matrix_product_reference(name):
+    rs = from_name(name)
+    expected = [(w.action, w.sign, w.word) for w in reference_enumeration(rs)]
+    assert [(w.action, w.sign, w.word) for w in weyl.enumerate_weyl(rs)] == expected
+
+
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"])
 def test_group_order_matches_classical_formula(name):
     rs = from_name(name)
     group = weyl.enumerate_weyl(rs)
     assert len(group) == oracles.weyl_order_formula(rs.series, rs.rank)
+    assert weyl.weyl_order(rs) == len(group)
     assert len({w.action for w in group}) == len(group)
+
+
+def test_e6_enumeration():
+    rs = from_name("E6")
+    group = weyl.enumerate_weyl(rs)
+    assert len(group) == 51840 == weyl.weyl_order(rs)
+    assert len({w.action for w in group}) == len(group)
+    assert all(w.sign == (-1) ** len(w.word) for w in group)
 
 
 def test_enumeration_cap():
     rs = from_name("A3")
     with pytest.raises(weyl.ResourceError):
         weyl.enumerate_weyl(rs, cap=5)
+    with pytest.raises(weyl.ResourceError):
+        weyl.weyl_order(rs, cap=5)
+
+
+def test_e7_refused_at_default_cap():
+    rs = from_name("E7")
+    with pytest.raises(weyl.ResourceError):
+        weyl.weyl_order(rs)
+    with pytest.raises(weyl.ResourceError):
+        weyl.enumerate_weyl(rs)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
