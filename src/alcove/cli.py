@@ -34,8 +34,11 @@ def _emit(fmt: str, out: str | None, payload, csv_rows=None) -> None:
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -225,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = _add_common(sub.add_parser("verify"), cmd_verify, required=False)
     p_verify.add_argument("--tolerance", type=float, default=None,
                           help="override the sampled, orthogonality and levelshift tolerances")
-    p_verify.add_argument("--seed", type=int, default=verify.Settings.seed)
-    p_verify.add_argument("--samples", type=int, default=verify.Settings.samples)
+    defaults = verify.Settings._field_defaults
+    p_verify.add_argument("--seed", type=int, default=defaults["seed"])
+    p_verify.add_argument("--samples", type=int, default=defaults["samples"])
     return parser
 
 

@@ -24,21 +24,17 @@ measure; every grid consumer reads it by position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import chareval
 from .chareval import GRID_FULL, GRID_SHIFTED
-from .rootdata import RootSystem, TorusPoint, Weight, lattice_index, weights_at_level
+from .rootdata import RootSystem, lattice_index, weights_at_level
 from .weyl import weyl_order
 
 
-@dataclass(frozen=True)
-class GridConventions:
-    grid_mode: str = GRID_SHIFTED
-    include_empty_subset: bool = True
-
-
+GridConventions = namedtuple("GridConventions", "grid_mode include_empty_subset",
+                             defaults=(GRID_SHIFTED, True))
 FROZEN = GridConventions()
 
 
@@ -65,8 +61,8 @@ def grid_measure(rs: RootSystem, k: int, mode: str | None = None,
     return out
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(namedtuple("CharacterTable",
+                                 "mode weights labels points regular measure values")):
     """Level-k characters on one grid; cached and shared, so read-only.
 
     values[i][t] is the character of weights[i] at points[t]: the dimension
@@ -74,13 +70,7 @@ class CharacterTable:
     grid_measure weight of points[t], zero exactly at the singular points.
     """
 
-    mode: str
-    weights: tuple[Weight, ...]
-    labels: tuple
-    points: tuple[TorusPoint, ...]
-    regular: tuple[bool, ...]
-    measure: tuple[float, ...]
-    values: list[list[complex | None]]
+    __slots__ = ()
 
 
 @lru_cache(maxsize=64)

@@ -13,7 +13,7 @@ exponential contributes e^{w_fin lam + k nu(v)}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import chareval, stabilizers, weyl
 from .identities import PoleError
@@ -23,16 +23,13 @@ from .stabilizers import FaceData
 from .weyl import AffineWeylElement, WeylElement
 
 
-@dataclass(frozen=True)
-class ShiftWitness:
+class ShiftWitness(namedtuple("ShiftWitness", [
+        "face", "w_aff", "w_fin",
+        "v",          # translation, simple-coroot coordinates
+        "k", "lam"])):
     """A factored stabilizer pair with its level-k context."""
 
-    face: FaceData
-    w_aff: AffineWeylElement
-    w_fin: WeylElement
-    v: tuple[int, ...]          # translation, simple-coroot coordinates
-    k: int
-    lam: Weight
+    __slots__ = ()
 
 
 def make_witness(rs: RootSystem, face: FaceData, w_aff: AffineWeylElement,

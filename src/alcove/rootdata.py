@@ -9,7 +9,7 @@ the Cartan matrix alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,15 +31,15 @@ class ConfigurationError(ValueError):
     """Invalid (series, rank) or other bad build input."""
 
 
-@dataclass(frozen=True)
-class Weight:
+# Records are namedtuples: importing dataclasses costs about 25 ms per CLI process.
+class Weight(namedtuple("Weight", "coords")):
     """Exact-rational vector in fundamental-weight coordinates.
 
     coords[i] is the pairing <lam, alpha_i^v>; the simple-root expansion is
     RootSystem.root_coords(lam).
     """
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ()
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -67,16 +67,15 @@ class Weight:
         return all(a >= 0 for a in self.coords)
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(namedtuple("TorusPoint", "mu_star")):
     """Point of the maximal torus, recorded through the bilinear form.
 
-    mu_star is the image in weight space of the Lie-algebra representative, so
-    a weight lam pairs with the point as (lam|mu_star); exponentials of
-    integral weights at the point are roots of unity.
+    mu_star is the Weight image in weight space of the Lie-algebra
+    representative, so a weight lam pairs with the point as (lam|mu_star);
+    exponentials of integral weights at the point are roots of unity.
     """
 
-    mu_star: Weight
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
@@ -369,4 +368,13 @@ def weights_at_level(rs: RootSystem, k: int) -> list[Weight]:
 
     rec([], k)
     return [rs.weight_from_coords(c) for c in sorted(out)]
+
+
+def count_weights_at_level(rs: RootSystem, k: int) -> int:
+    """len(weights_at_level(rs, k)) without listing them: O(rank * k) over the comarks."""
+    ways = [1] + [0] * k  # ways[b]: coordinate vectors with (lam|theta) == b
+    for a in rs.comarks:
+        for b in range(a, k + 1):
+            ways[b] += ways[b - a]
+    return sum(ways) if k >= 0 else 0
 

@@ -9,7 +9,7 @@ rho_mu obtained by exact orthogonal projection, and the toric isotropy data
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -23,25 +23,25 @@ class DomainError(ValueError):
     """Input outside the operation's domain (point off the alcove, etc.)."""
 
 
-@dataclass(frozen=True)
-class FaceData:
-    mu: TorusPoint
-    on_affine_wall: bool
-    delta0: tuple[int, ...]                 # indices of vanishing simple roots
-    realized_simple_roots: tuple[Weight, ...]  # -theta first when on the wall
-    labels: tuple[str, ...]                 # "affine" or "alpha_i"
-    fund_weights_mu: tuple[Weight, ...]
-    rho_mu: Weight
-    n_value: int
-    epsilon_covee: tuple[Fraction, ...]     # simple-coroot coordinates
-    isotropy_order: int
+class FaceData(namedtuple("FaceData", [
+        "mu",
+        "on_affine_wall",
+        "delta0",                 # indices of vanishing simple roots
+        "realized_simple_roots",  # -theta first when on the wall
+        "labels",                 # "affine" or "alpha_i"
+        "fund_weights_mu",
+        "rho_mu",
+        "n_value",
+        "epsilon_covee",          # simple-coroot coordinates
+        "isotropy_order"])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RhoShift:
-    sub_difference: Weight    # w(rho_mu) - rho_mu
-    full_difference: Weight   # w(rho) - rho
-    wall_correction: Weight   # their difference; h^v * theta at the wall reflection
+class RhoShift(namedtuple("RhoShift", [
+        "sub_difference",    # w(rho_mu) - rho_mu
+        "full_difference",   # w(rho) - rho
+        "wall_correction"])):  # their difference; h^v * theta at the wall reflection
+    __slots__ = ()
 
 
 def _orthogonal_projector(rs: RootSystem, span: list[Weight]):

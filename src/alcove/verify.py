@@ -8,7 +8,7 @@ count failed checks, and `samples` says how many checks a report made.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
@@ -20,32 +20,22 @@ from .rootdata import RootSystem, TorusPoint
 MAX_DRAWS_PER_SAMPLE = 10
 
 
-@dataclass(frozen=True)
-class Settings:
+class Settings(namedtuple("Settings", "level grid_mode tolerance seed samples",
+                          defaults=(1, None, None, 2024, 100))):
     """One verify run's choices; tolerance None keeps every suite's default."""
 
-    level: int = 1
-    grid_mode: str | None = None
-    tolerance: float | None = None
-    seed: int = 2024
-    samples: int = 100
+    __slots__ = ()
 
     def tol(self, default: float) -> float:
         return default if self.tolerance is None else self.tolerance
 
 
-@dataclass
-class IdentityReport:
-    name: str
-    system: str
-    samples: int
-    max_residual: float
-    tolerance: float
-    passed: bool
-    detail: dict
+class IdentityReport(namedtuple("IdentityReport",
+                                "name system samples max_residual tolerance passed detail")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def report(name: str, rs: RootSystem, samples: int, worst: float, tolerance: float,

@@ -7,11 +7,12 @@ coefficients are that inversion applied to pointwise products of characters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
+from operator import mul, sub
 
 from . import conventions, weyl
-from .rootdata import RootSystem, Weight, weights_at_level
+from .rootdata import RootSystem, Weight, count_weights_at_level, weights_at_level
 from .weyl import ResourceError
 
 ROUNDING_ERROR_THRESHOLD = 1e-4
@@ -23,26 +24,15 @@ class InconsistentInputError(ValueError):
     """Grid values are not a character combination at this level."""
 
 
-@dataclass(frozen=True)
-class LevelWeightSet:
-    k: int
-    weights: tuple[Weight, ...]
+LevelWeightSet = namedtuple("LevelWeightSet", "k weights")
+ExtractionResult = namedtuple("ExtractionResult", "multiplicities max_residual")
 
 
-@dataclass
-class ExtractionResult:
-    multiplicities: dict[Weight, int]
-    max_residual: float
+class FusionTable(namedtuple("FusionTable", "k weights max_residual dense")):
+    """Fusion coefficients; dense[a][b][c] is N_ab^c by position in weights.
 
-
-@dataclass
-class FusionTable:
-    """Fusion coefficients; dense[a][b][c] is N_ab^c by position in weights."""
-
-    k: int
-    weights: tuple[Weight, ...]
-    max_residual: float
-    dense: list[list[list[int]]]
+    No __slots__: the cached _position lives in the instance __dict__.
+    """
 
     @property
     def entries(self) -> dict[tuple[Weight, Weight, Weight], int]:
@@ -139,30 +129,27 @@ def fusion_coefficients(rs: RootSystem, k: int, a: Weight, b: Weight,
 def fusion_table(rs: RootSystem, k: int, grid_mode: str | None = None,
                  cap: int = DEFAULT_TABLE_CAP) -> FusionTable:
     """Complete fusion table, with unit and symmetry invariants verified."""
-    ws = dominant_weights(rs, k).weights
-    n = len(ws)
+    n = count_weights_at_level(rs, k)
     if n ** 3 > cap:
         raise ResourceError(f"table size {n ** 3} exceeds cap {cap}")
+    ws = dominant_weights(rs, k).weights
     table = conventions.character_table(rs, k, grid_mode)
     live = [t for t, wgt in enumerate(table.measure) if wgt]
-    wgts = [table.measure[t] for t in live]
     cols = [[row[t] for t in live] for row in table.values]
-    conj_cols = [[v.conjugate() for v in col] for col in cols]
+    # conj(chi_c(t)) * w_t: the measure folded into the dual columns once
+    duals = [[row[t].conjugate() * table.measure[t] for t in live] for row in table.values]
 
-    dense = [[[0] * n for _ in range(n)] for _ in range(n)]
+    dense = [[None] * n for _ in range(n)]
     worst = 0.0
     for i in range(n):
         for j in range(i, n):
-            prod = [x * y for x, y in zip(cols[i], cols[j])]
-            for c, conj in enumerate(conj_cols):
-                s = 0j
-                for p, q, wgt in zip(prod, conj, wgts):
-                    s += p * q * wgt
-                nearest = round(s.real)
-                worst = max(worst, abs(s - nearest))
-                if nearest < 0:
-                    raise InconsistentInputError("negative fusion coefficient")
-                dense[i][j][c] = dense[j][i][c] = nearest
+            prod = list(map(mul, cols[i], cols[j]))
+            sums = [sum(map(mul, prod, dual), 0j) for dual in duals]
+            row = [round(s.real) for s in sums]
+            worst = max(worst, *map(abs, map(sub, sums, row)))
+            if min(row) < 0:
+                raise InconsistentInputError("negative fusion coefficient")
+            dense[i][j], dense[j][i] = row, row[:]
     if worst > ROUNDING_ERROR_THRESHOLD:
         raise InconsistentInputError(
             f"rounding residual {worst:.3e} exceeds {ROUNDING_ERROR_THRESHOLD}")

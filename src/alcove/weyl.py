@@ -13,7 +13,7 @@ the rows on the support of alpha_i, so each new element costs O(rank).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,17 +33,14 @@ class MismatchError(ValueError):
     """An affine element does not factor through the requested finite part."""
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(namedtuple("WeylElement", "action sign word")):
     """Finite Weyl group element.
 
-    action is the integer matrix on fundamental-weight coordinates; sign is
-    the determinant; word is a reduced word in simple reflections.
+    action is the integer matrix (IntMat) on fundamental-weight coordinates;
+    sign is the determinant; word is a reduced word in simple reflections.
     """
 
-    action: IntMat
-    sign: int
-    word: tuple[int, ...]
+    __slots__ = ()
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return WeylElement(_mat_mul_int(self.action, other.action),
@@ -54,12 +51,10 @@ class WeylElement:
         return self.action == _identity_mat(len(self.action))
 
 
-@dataclass(frozen=True)
-class AffineWeylElement:
+class AffineWeylElement(namedtuple("AffineWeylElement", "finite translation")):
     """Pair (finite part, translation), composing as a semidirect product."""
 
-    finite: WeylElement
-    translation: tuple[int, ...]
+    __slots__ = ()
 
     def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
         moved = act_on_coroot_coords(self.finite, other.translation)
@@ -71,17 +66,14 @@ class AffineWeylElement:
         return self.finite.is_identity and all(t == 0 for t in self.translation)
 
 
-@dataclass(frozen=True)
-class AlcovePoint:
+class AlcovePoint(namedtuple("AlcovePoint", "point level chamber_certificate")):
     """A torus point with its alcove-membership certificate.
 
     The certificate lists <alpha_i^v, x> for each simple root and then
     k - (theta|x); membership in the closed alcove means all entries >= 0.
     """
 
-    point: TorusPoint
-    level: int
-    chamber_certificate: tuple[Fraction, ...]
+    __slots__ = ()
 
 
 def _mat_mul_int(a: IntMat, b: IntMat) -> IntMat:

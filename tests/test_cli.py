@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,8 +152,9 @@ def test_negative_tolerance_rejected(capsys):
     ["grid", "--series", "E", "--rank", "8"],
     ["roots", "--series", "A", "--rank", "1", "--level", "-1"],
     ["grid", "--series", "A", "--rank", "1", "--level", "-1"],
+    ["roots", "--series", "A", "--rank", "1", "--out", "/nonexistent/x.json"],
 ], ids=["point-1/0", "weight-x", "weight-negative", "pair-above-level", "grid-E8-cap",
-        "roots-level-negative", "grid-level-negative"])
+        "roots-level-negative", "grid-level-negative", "out-unwritable"])
 def test_bad_input_exits_2_with_one_line_error(capsys, args):
     code, out, err = run(capsys, *args)
     assert code == 2
@@ -233,6 +237,18 @@ def test_library_run_matches_cli_reports(capsys):
     reports = verify.run(from_name("A1"), verify.Settings(level=1, samples=3))
     assert json.loads(out)["reports"] == [r.to_json_dict() for r in reports]
     assert code == 0 and all(r.passed for r in reports)
+    args = cli.build_parser().parse_args(["verify"])
+    assert (args.seed, args.samples) == (2024, 100)
+    assert (verify.Settings().seed, verify.Settings().samples) == (2024, 100)
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    """Start-up cost: `import alcove.cli` must not pull in dataclasses or inspect."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import alcove.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

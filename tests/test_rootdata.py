@@ -169,6 +169,14 @@ def test_weights_at_level_complete_against_box(name, k):
     assert got == box
 
 
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_count_weights_at_level_matches_listing(name):
+    rs = from_name(name)
+    for k in range(6):
+        assert rootdata.count_weights_at_level(rs, k) == len(rootdata.weights_at_level(rs, k))
+    assert rootdata.count_weights_at_level(rs, -1) == 0
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(-6, 6), min_size=2, max_size=2),
        st.lists(st.integers(-6, 6), min_size=2, max_size=2))
@@ -185,3 +193,18 @@ def test_weight_coordinate_roundtrip():
     for w in rs.positive_roots:
         assert rs.weight_from_coords(w.coords) == w
         assert rs.weight_from_root_coords(rs.root_coords(w)) == w
+    # records are immutable and hash by value
+    from alcove import conventions, verify, weyl
+    rs = from_name("A2")
+    lam = rs.weight_from_coords([1, 2])
+    w = weyl.longest_element(rs)
+    table = conventions.character_table(rs, 1)
+    for record, field in [(lam, "coords"), (w, "sign"), (table, "weights"),
+                          (verify.Settings(), "seed")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert hash(lam) == hash(rs.weight_from_coords([1, 2]))
+    assert hash(w) == hash(weyl.WeylElement(w.action, w.sign, w.word))
+    assert hash(verify.Settings(seed=5)) == hash(verify.Settings(1, None, None, 5, 100))
+    # the hash of the field tuple: it fixes the iteration order of sets of weights
+    assert hash(lam) == hash((lam.coords,))

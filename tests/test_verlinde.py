@@ -189,6 +189,9 @@ def test_table_cap():
     assert verlinde.ResourceError is weyl.ResourceError
     with pytest.raises(verlinde.ResourceError):
         fusion_table(rs, 3, cap=10)
+    # refused from the count alone: listing these 302621 weights takes seconds
+    with pytest.raises(verlinde.ResourceError, match=f"table size {302621 ** 3} exceeds cap"):
+        fusion_table(from_name("A3"), 120)
 
 
 @pytest.mark.parametrize("name,k", [("A2", 2), ("B2", 2), ("G2", 2)])
