@@ -29,8 +29,9 @@ def format_complex(z: complex) -> str:
 
 
 def _emit(fmt: str, out: str | None, payload, csv_rows=None) -> None:
+    """Write payload as JSON, or the rows that csv_rows() builds as CSV."""
     if fmt == "csv":
-        text = "\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n"
+        text = "\n".join(",".join(str(c) for c in row) for row in csv_rows()) + "\n"
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
@@ -119,7 +120,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
     table = conventions.character_table(rs, args.level, args.grid)
     lams, rows = table.weights, table.values
     points = [[str(c) for c in p.mu_star.coords] for p in table.points]
-    labels = [";".join(p) for p in points]
     payload = {
         "schema": "alcove/grid/v1",
         "system": f"{args.series}{args.rank}", "level": args.level, "grid_mode": table.mode,
@@ -130,10 +130,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
                              for v in row]}
                  for lam, row in zip(lams, rows)],
     }
-    csv_rows = [["weight"] + labels]
-    for lam, row in zip(lams, rows):
-        csv_rows.append([_weight_label(lam)] +
-                        ["" if v is None else format_complex(v) for v in row])
+
+    def csv_rows():
+        yield ["weight"] + [";".join(p) for p in points]
+        for lam, row in zip(lams, rows):
+            yield [_weight_label(lam)] + ["" if v is None else format_complex(v) for v in row]
     _emit(args.fmt, args.out, payload, csv_rows)
     return EXIT_OK
 
@@ -164,14 +165,16 @@ def cmd_fusion(args: argparse.Namespace) -> int:
                "triples": [{"a": a, "b": b, "c": c, "n": n} for a, b, c, n in triples]}
     if max_residual is not None:
         payload["max_rounding_residual"] = max_residual
-    # CSV: dense slabs, one (a, b) row with a column per channel c
-    channels = [_weight_label(c) for c in verlinde.dominant_weights(rs, args.level).weights]
-    dense = {(a, b): {} for a, b, _, _ in triples}
-    for a, b, c, n in triples:
-        dense[(a, b)][c] = n
-    csv_rows = [["a", "b"] + channels]
-    for (a, b) in sorted(dense):
-        csv_rows.append([a, b] + [dense[(a, b)].get(c, 0) for c in channels])
+
+    def csv_rows():
+        """Dense slabs: one (a, b) row with a column per channel c."""
+        channels = [_weight_label(c) for c in verlinde.dominant_weights(rs, args.level).weights]
+        dense = {(a, b): {} for a, b, _, _ in triples}
+        for a, b, c, n in triples:
+            dense[(a, b)][c] = n
+        yield ["a", "b"] + channels
+        for (a, b) in sorted(dense):
+            yield [a, b] + [dense[(a, b)].get(c, 0) for c in channels]
     _emit(args.fmt, args.out, payload, csv_rows)
     return EXIT_OK
 

@@ -3,10 +3,10 @@
 scripts/convention_oracle.py re-derives everything below; docs/conventions.md
 records the derivation.  Summary of the frozen choices:
 
-* Orthogonality / inversion measure.  Grid sums use the weight
-  |D(tau)|^2 = D(tau) * conj(D(tau)) and the prefactor 1/|M*/(k+h^v)M| on the
-  shifted grid, with an extra 1/|W| on the full grid (each regular full-grid
-  orbit has |W| points over one shifted representative).  The literal
+* Inversion measure.  Grid sums use the weight |D(tau)|^2 =
+  D(tau) * conj(D(tau)) and the prefactor 1/|M*/(k+h^v)M| on the shifted
+  grid, with an extra 1/|W| on the full grid (each regular full-grid orbit
+  has |W| points over one shifted representative).  The literal
   (-1)^l * D(tau)^2 reading reproduces the identity matrix only for A1 at
   k = 1 and fails everywhere else; the oracle rejects it.
 
@@ -19,13 +19,16 @@ records the derivation.  Summary of the frozen choices:
 
 CharacterTable is the one character table on a grid (the Kac-Peterson
 S-matrix ratios S_lam,mu / S_0,mu on the shifted grid) together with this
-measure; every grid consumer reads it by position.
+measure; every grid consumer reads it by position.  Its invert method is the
+one S-matrix contraction sum_t v_t * conj(chi_c(t)) * measure_t: orthogonality,
+multiplicity extraction and fusion all go through it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import mul
 
 from . import chareval
 from .chareval import GRID_FULL, GRID_SHIFTED
@@ -38,21 +41,16 @@ GridConventions = namedtuple("GridConventions", "grid_mode include_empty_subset"
 FROZEN = GridConventions()
 
 
-def grid_measure(rs: RootSystem, k: int, mode: str | None = None,
-                 orbit_correction: bool = True):
+def grid_measure(rs: RootSystem, k: int, mode: str | None = None):
     """(label, point, weight) triples defining the inversion measure.
 
     Summing chi_b * conj(chi_a) against the weights gives delta_ab exactly
     (up to float noise) in either grid mode; non-regular full-grid points
     carry weight 0 because the denominator vanishes there.
-
-    orbit_correction=False drops the full-grid 1/|W| factor, leaving the
-    single shared prefactor of the orthogonality contract; the full grid then
-    overshoots by exactly |W|, which is the grid-mode discriminator.
     """
     mode = mode or FROZEN.grid_mode
     pref = 1.0 / lattice_index(rs, k)
-    if mode == GRID_FULL and orbit_correction:
+    if mode == GRID_FULL:
         pref /= weyl_order(rs)
     out = []
     for label, point in chareval.special_grid(rs, k, mode):
@@ -61,25 +59,39 @@ def grid_measure(rs: RootSystem, k: int, mode: str | None = None,
     return out
 
 
-class CharacterTable(namedtuple("CharacterTable",
-                                 "mode weights labels points regular measure values")):
+class CharacterTable(namedtuple("CharacterTable", "mode weights labels points regular "
+                                                  "measure values live duals")):
     """Level-k characters on one grid; cached and shared, so read-only.
 
     values[i][t] is the character of weights[i] at points[t]: the dimension
     at the identity and None at any other singular point.  measure[t] is the
     grid_measure weight of points[t], zero exactly at the singular points.
+    live lists the indices t of nonzero measure, and duals[c][s] is
+    conj(chi_c) * measure at points[live[s]]: the measure folded in once.
     """
 
     __slots__ = ()
 
+    def invert(self, column) -> list[complex]:
+        """[sum_t column_t * conj(chi_c(t)) * measure_t for every weight c].
+
+        column holds one value per live point; sum m_a chi_a inverts to m.
+        """
+        return [sum(map(mul, column, dual), 0j) for dual in self.duals]
+
+
+def character_table(rs: RootSystem, k: int, mode: str | None = None) -> CharacterTable:
+    """The level-k character table on the grid of the given mode (default frozen)."""
+    return _character_table(rs, k, mode or FROZEN.grid_mode)
+
 
 @lru_cache(maxsize=64)
-def character_table(rs: RootSystem, k: int, mode: str | None = None) -> CharacterTable:
-    """The level-k character table on the grid of the given mode."""
-    mode = mode or FROZEN.grid_mode
+def _character_table(rs: RootSystem, k: int, mode: str) -> CharacterTable:
     labels, points, measure = zip(*grid_measure(rs, k, mode))
     lams = tuple(weights_at_level(rs, k))
     columns = [chareval.characters(rs, lams, p) for p in points]
     regular = tuple(not p.is_zero and col[0] is not None for p, col in zip(points, columns))
-    return CharacterTable(mode, lams, labels, points, regular, measure,
-                          [list(row) for row in zip(*columns)])
+    values = [list(row) for row in zip(*columns)]
+    live = tuple(t for t, wgt in enumerate(measure) if wgt)
+    duals = [[row[t].conjugate() * measure[t] for t in live] for row in values]
+    return CharacterTable(mode, lams, labels, points, regular, measure, values, live, duals)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import chareval, conventions, weyl
+from .chareval import GRID_FULL
 from .rootdata import RootSystem, TorusPoint, Weight
 
 PRIME_DENOMINATORS = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151,
@@ -107,20 +108,13 @@ def orthogonality_matrix(rs: RootSystem, k: int, grid_mode: str | None = None,
     """Gram matrix of the level-k characters over the chosen grid.
 
     Entry (a, b) is the grid sum of chi_b * conj(chi_a) * |D|^2 times the
-    shared prefactor 1/|M*/(k+h^v)M|; exactly one grid mode (the frozen
-    shifted one) then produces the identity matrix, and the full grid
-    overshoots by |W| unless orbit_correction is set.  Returns
-    (weights, matrix).
+    shared prefactor 1/|M*/(k+h^v)M|: column b is CharacterTable.invert of
+    chi_b, and on the full grid, whose measure carries an extra 1/|W|, the
+    column is scaled back by |W| unless orbit_correction is set.  Exactly one
+    grid mode (the frozen shifted one) then produces the identity matrix, and
+    the full grid overshoots by |W|.  Returns (weights, matrix).
     """
     table = conventions.character_table(rs, k, grid_mode)
-    live = [(t, wgt) for t, (_, _, wgt) in
-            enumerate(conventions.grid_measure(rs, k, grid_mode, orbit_correction)) if wgt]
-    n = len(table.weights)
-    matrix = [[0j] * n for _ in range(n)]
-    for a, row_a in enumerate(table.values):
-        for b, row_b in enumerate(table.values):
-            s = 0j
-            for t, wgt in live:
-                s += row_b[t] * row_a[t].conjugate() * wgt
-            matrix[a][b] = s
-    return list(table.weights), matrix
+    scale = weyl.weyl_order(rs) if table.mode == GRID_FULL and not orbit_correction else 1
+    columns = [table.invert([row[t] for t in table.live]) for row in table.values]
+    return list(table.weights), [[z * scale for z in row] for row in zip(*columns)]

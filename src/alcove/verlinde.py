@@ -1,15 +1,16 @@
 """Level-k dominant weights, multiplicity extraction and fusion coefficients.
 
-Multiplicities are recovered by summing character data against the frozen
-grid measure (the inversion dual to the orthogonality relation); fusion
-coefficients are that inversion applied to pointwise products of characters.
+Multiplicities are recovered by CharacterTable.invert, the sum of character
+data against conj(chi_c) and the frozen grid measure (the inversion dual to
+the orthogonality relation), rounded by _round; fusion coefficients are that
+inversion applied to pointwise products of characters.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from operator import mul, sub
+from operator import sub
 
 from . import conventions, weyl
 from .rootdata import RootSystem, Weight, count_weights_at_level, weights_at_level
@@ -73,11 +74,24 @@ def synthesize(rs: RootSystem, k: int, multiplicities: dict[Weight, int],
     """
     table = conventions.character_table(rs, k, grid_mode)
     ms = [multiplicities.get(lam, 0) for lam in table.weights]
-    out = {}
-    for t, label in enumerate(table.labels):
-        out[label] = (sum(m * row[t] for m, row in zip(ms, table.values))
-                      if table.measure[t] else 0j)
+    out = dict.fromkeys(table.labels, 0j)
+    for t in table.live:
+        out[table.labels[t]] = sum(m * row[t] for m, row in zip(ms, table.values))
     return out
+
+
+def _round(sums: list[complex]) -> tuple[list[int], float]:
+    """Nearest integers to the real parts, and the worst distance to them.
+
+    Raises InconsistentInputError when that distance exceeds
+    ROUNDING_ERROR_THRESHOLD: the sums were not integral to begin with.
+    """
+    ints = [round(s.real) for s in sums]
+    worst = max(map(abs, map(sub, sums, ints)), default=0.0)
+    if worst > ROUNDING_ERROR_THRESHOLD:
+        raise InconsistentInputError(
+            f"rounding residual {worst:.3e} exceeds {ROUNDING_ERROR_THRESHOLD}")
+    return ints, worst
 
 
 def extract_multiplicities(rs: RootSystem, k: int, values: dict,
@@ -91,39 +105,28 @@ def extract_multiplicities(rs: RootSystem, k: int, values: dict,
     character combination.
     """
     table = conventions.character_table(rs, k, grid_mode)
-    live = [t for t, wgt in enumerate(table.measure) if wgt]
-    sampled = [values[table.labels[t]] for t in live]
-    result: dict[Weight, int] = {}
-    worst = 0.0
-    for lam, row in zip(table.weights, table.values):
-        s = 0j
-        for t, v in zip(live, sampled):
-            s += v * row[t].conjugate() * table.measure[t]
-        nearest = round(s.real)
-        worst = max(worst, abs(s - nearest))
-        result[lam] = int(nearest)
-    if worst > ROUNDING_ERROR_THRESHOLD:
-        raise InconsistentInputError(
-            f"rounding residual {worst:.3e} exceeds {ROUNDING_ERROR_THRESHOLD}")
-    return ExtractionResult(result, worst)
+    ints, worst = _round(table.invert([values[table.labels[t]] for t in table.live]))
+    return ExtractionResult(dict(zip(table.weights, ints)), worst)
+
+
+def _fusion_row(table: conventions.CharacterTable, a: int, b: int) -> tuple[list[int], float]:
+    """N_ab^c for every c by position, and the rounding residual of the row."""
+    row_a, row_b = table.values[a], table.values[b]
+    ints, worst = _round(table.invert([row_a[t] * row_b[t] for t in table.live]))
+    if min(ints) < 0:
+        c = next(c for c, n in zip(table.weights, ints) if n < 0)
+        raise InconsistentInputError(f"negative fusion coefficient at {c}")
+    return ints, worst
 
 
 def fusion_coefficients(rs: RootSystem, k: int, a: Weight, b: Weight,
                         grid_mode: str | None = None) -> dict[Weight, int]:
     """Fusion row N_{ab}^* via inversion of the pointwise product chi_a chi_b."""
-    lws = dominant_weights(rs, k)
-    if a not in lws.weights or b not in lws.weights:
-        raise ValueError("fusion labels must be level-k dominant weights")
     table = conventions.character_table(rs, k, grid_mode)
-    row_a = table.values[table.weights.index(a)]
-    row_b = table.values[table.weights.index(b)]
-    values = {table.labels[t]: row_a[t] * row_b[t]
-              for t, wgt in enumerate(table.measure) if wgt}
-    extraction = extract_multiplicities(rs, k, values, grid_mode)
-    for c, n in extraction.multiplicities.items():
-        if n < 0:
-            raise InconsistentInputError(f"negative fusion coefficient at {c}")
-    return extraction.multiplicities
+    ws = table.weights
+    if a not in ws or b not in ws:
+        raise ValueError("fusion labels must be level-k dominant weights")
+    return dict(zip(ws, _fusion_row(table, ws.index(a), ws.index(b))[0]))
 
 
 def fusion_table(rs: RootSystem, k: int, grid_mode: str | None = None,
@@ -132,28 +135,15 @@ def fusion_table(rs: RootSystem, k: int, grid_mode: str | None = None,
     n = count_weights_at_level(rs, k)
     if n ** 3 > cap:
         raise ResourceError(f"table size {n ** 3} exceeds cap {cap}")
-    ws = dominant_weights(rs, k).weights
     table = conventions.character_table(rs, k, grid_mode)
-    live = [t for t, wgt in enumerate(table.measure) if wgt]
-    cols = [[row[t] for t in live] for row in table.values]
-    # conj(chi_c(t)) * w_t: the measure folded into the dual columns once
-    duals = [[row[t].conjugate() * table.measure[t] for t in live] for row in table.values]
-
     dense = [[None] * n for _ in range(n)]
     worst = 0.0
     for i in range(n):
         for j in range(i, n):
-            prod = list(map(mul, cols[i], cols[j]))
-            sums = [sum(map(mul, prod, dual), 0j) for dual in duals]
-            row = [round(s.real) for s in sums]
-            worst = max(worst, *map(abs, map(sub, sums, row)))
-            if min(row) < 0:
-                raise InconsistentInputError("negative fusion coefficient")
+            row, residual = _fusion_row(table, i, j)
+            worst = max(worst, residual)
             dense[i][j], dense[j][i] = row, row[:]
-    if worst > ROUNDING_ERROR_THRESHOLD:
-        raise InconsistentInputError(
-            f"rounding residual {worst:.3e} exceeds {ROUNDING_ERROR_THRESHOLD}")
-    unit = dense[ws.index(rs.zero_weight())]
+    unit = dense[table.weights.index(rs.zero_weight())]
     if any(unit[b][c] != (b == c) for b in range(n) for c in range(n)):
         raise AssertionError("unit law failed in fusion table")
-    return FusionTable(k, ws, worst, dense)
+    return FusionTable(k, table.weights, worst, dense)

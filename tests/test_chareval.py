@@ -269,6 +269,12 @@ def fraction_path_character(rs, lam, x):
     return num / den
 
 
+def test_character_table_cache_resolves_the_default_mode():
+    rs = from_name("A2")
+    assert conventions.character_table(rs, 1) is conventions.character_table(rs, 1, "shifted")
+    assert conventions.character_table(rs, 1, "full").mode == "full"
+
+
 @pytest.mark.parametrize("name,k,mode",
                          [(name, k, "shifted") for name in ["A1", "A2", "A3", "B2", "C3", "G2"]
                           for k in range(3)] + [("B2", 2, "full")])

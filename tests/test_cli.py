@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from alcove import cli, identities, levelshift, verify
+from alcove import cli, conventions, identities, levelshift, verify, verlinde
 from alcove.rootdata import TorusPoint, from_name
 
 
@@ -206,11 +206,42 @@ def test_csv_rejected_without_a_csv_form(capsys, args):
     assert out == "" and "invalid choice: 'csv'" in err
 
 
-def test_fusion_csv_has_one_row_per_pair(capsys):
+def test_fusion_csv_has_one_row_per_pair(capsys, monkeypatch):
     code, out, _ = run(capsys, "fusion", "--series", "A", "--rank", "1", "--level", "1",
                        "--format", "csv")
     assert code == 0
     assert out.splitlines() == ["a,b,0,1w0", "0,0,1,0", "0,1w0,0,1", "1w0,0,0,1", "1w0,1w0,1,0"]
+    code, out, _ = run(capsys, "fusion", "--series", "A", "--rank", "1", "--level", "2",
+                       "--pair", "1", "1", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["a,b,0,1w0,2w0", "1w0,1w0,1,0,1"]
+    # the CSV slab equals the JSON triples, with zeros filled in
+    code, out, _ = run(capsys, "fusion", "--series", "A", "--rank", "2", "--level", "2")
+    triples = {(t["a"], t["b"], t["c"]): t["n"] for t in json.loads(out)["triples"]}
+    code, out, _ = run(capsys, "fusion", "--series", "A", "--rank", "2", "--level", "2",
+                       "--format", "csv")
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    assert code == 0 and header[:2] == ["a", "b"] and len(rows) == len(header[2:]) ** 2
+    assert {(a, b, c): int(n) for a, b, *ns in rows for c, n in zip(header[2:], ns)
+            if n != "0"} == triples
+    # JSON output builds no CSV rows, which are the only reader of dominant_weights
+    monkeypatch.setattr(verlinde, "dominant_weights", None)
+    code, out, _ = run(capsys, "fusion", "--series", "A", "--rank", "2", "--level", "2")
+    assert code == 0 and {(t["a"], t["b"], t["c"]): t["n"]
+                          for t in json.loads(out)["triples"]} == triples
+
+
+def test_inconsistent_fusion_exits_3(capsys, monkeypatch):
+    rs = from_name("A2")
+    table = conventions.character_table(rs, 2)
+    for factor, message in [(-1, "error: negative fusion coefficient at "),
+                            (0.5, "error: rounding residual ")]:
+        skewed = table._replace(duals=[[z * factor for z in dual] for dual in table.duals])
+        monkeypatch.setattr(conventions, "character_table", lambda *args: skewed)
+        for extra in [[], ["--pair", "0,0", "1,0"]]:
+            code, out, err = run(capsys, "fusion", "--series", "A", "--rank", "2",
+                                 "--level", "2", *extra)
+            assert code == 3 and out == "" and err.startswith(message)
 
 
 def test_roots_e7_order_is_null_above_the_cap(capsys):

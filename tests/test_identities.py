@@ -124,11 +124,19 @@ def test_orthogonality_a1_level1_is_two_by_two_identity():
 
 def test_orthogonality_grid_mode_discriminator():
     # with the shared prefactor the full grid overshoots by exactly |W|
-    a2 = from_name("A2")
-    _, plain = orthogonality_matrix(a2, 1, grid_mode="full")
-    assert abs(plain[0][0] - weyl.weyl_order(a2)) < 1e-9
-    _, corrected = orthogonality_matrix(a2, 1, grid_mode="full", orbit_correction=True)
-    assert abs(corrected[0][0] - 1) < 1e-12
+    for name, k in [("A2", 1), ("B2", 2)]:
+        rs = from_name(name)
+        order = weyl.weyl_order(rs)
+        lams, plain = orthogonality_matrix(rs, k, grid_mode="full")
+        _, corrected = orthogonality_matrix(rs, k, grid_mode="full", orbit_correction=True)
+        n = len(lams)
+        assert len(plain) == len(corrected) == n
+        for a in range(n):
+            assert len(plain[a]) == len(corrected[a]) == n
+            for b in range(n):
+                delta = 1.0 if a == b else 0.0
+                assert abs(plain[a][b] - order * delta) < 1e-9
+                assert abs(corrected[a][b] - delta) < 1e-12
 
 
 def test_grid_measure_vanishes_at_singular_points():

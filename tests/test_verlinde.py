@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from alcove import chareval, verlinde, weyl
+from alcove import chareval, conventions, verlinde, weyl
 from alcove.rootdata import from_name
 from alcove.verlinde import (InconsistentInputError, contragredient,
                              dominant_weights, extract_multiplicities,
@@ -105,6 +105,32 @@ def test_fusion_row_equals_extraction_of_product():
     values = {label: chareval.character(rs, a, p) * chareval.character(rs, b, p)
               for label, p in grid}
     assert extract_multiplicities(rs, k, values).multiplicities == row
+
+
+@pytest.mark.parametrize("name,k,mode", [("A2", 3, "shifted"), ("B2", 2, "full")])
+def test_fusion_pair_rows_equal_the_table(name, k, mode):
+    rs = from_name(name)
+    table = fusion_table(rs, k, mode)
+    ws = table.weights
+    for i, a in enumerate(ws):
+        for j, b in enumerate(ws):
+            row = fusion_coefficients(rs, k, a, b, mode)
+            assert list(row) == list(ws)
+            assert list(row.values()) == table.dense[i][j]
+
+
+@pytest.mark.parametrize("factor,message", [(-1, "negative fusion coefficient at "),
+                                            (0.5, "rounding residual ")])
+def test_inconsistent_fusion_rows_are_rejected(monkeypatch, factor, message):
+    # the real character table with every dual column scaled by factor
+    rs = from_name("A2")
+    table = conventions.character_table(rs, 2)
+    skewed = table._replace(duals=[[z * factor for z in dual] for dual in table.duals])
+    monkeypatch.setattr(conventions, "character_table", lambda *args: skewed)
+    with pytest.raises(InconsistentInputError, match=message):
+        fusion_coefficients(rs, 2, rs.zero_weight(), rs.fundamental_weight(0))
+    with pytest.raises(InconsistentInputError, match=message):
+        fusion_table(rs, 2)
 
 
 def test_fusion_unit_row():
