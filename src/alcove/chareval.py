@@ -49,8 +49,8 @@ def residues(rs: RootSystem, x: TorusPoint) -> tuple[int, list[int]]:
     """(N, v) with (a | x) = residue(a, v) / N exactly for every integral weight a."""
     d, gram = _integer_gram(rs)
     dx = lcm(*(c.denominator for c in x.mu_star.coords))
-    return d * dx, [sum(g * int(c * dx) for g, c in zip(row, x.mu_star.coords))
-                    for row in gram]
+    scaled = [int(c * dx) for c in x.mu_star.coords]
+    return d * dx, [sum(map(mul, row, scaled)) for row in gram]
 
 
 def residue(a: Weight, v) -> int:
@@ -175,28 +175,20 @@ def shifted_grid(rs: RootSystem, k: int) -> list[tuple[Weight, TorusPoint]]:
 def full_grid(rs: RootSystem, k: int) -> list[tuple[tuple[Fraction, ...], TorusPoint]]:
     """Coset representatives of M*/(k+h^v)M, labeled by the representative.
 
-    Representatives are m = sum c_i b_i with b_i a Smith-adapted basis of M*
-    and 0 <= c_i < d_i, mapped to torus points through nu / (k+h^v).
+    M = Q^v and nu(M*) = P, so (k+h^v)M has the integer matrix (k+h^v) *
+    gram_of_M() in the basis nu^-1(Lambda_j) of M*.  With u x v = d its Smith
+    form, the representatives have M* coordinates y = u^-1 c, 0 <= c_i < d_i;
+    the label is y in coroot coordinates and the point is nu(y) / (k+h^v),
+    the weight with fundamental-weight coordinates y / (k+h^v).
     """
     n = k + rs.dual_coxeter
-    l = rs.rank
-    s_cols = [[rs.lattice_Mstar_basis[j][i] for j in range(l)] for i in range(l)]  # columns
-    x = [[Fraction(0)] * l for _ in range(l)]
-    s_inv = intlinalg.mat_inverse(s_cols)
-    for j in range(l):
-        col = intlinalg.mat_vec(s_inv, [n * Fraction(rs.lattice_M_basis[j][i]) for i in range(l)])
-        for i in range(l):
-            x[i][j] = col[i]
-    assert all(v.denominator == 1 for row in x for v in row)
-    u, d, _ = intlinalg.smith_normal_form([[int(v) for v in row] for row in x])
+    u, d, _ = intlinalg.smith_normal_form([[n * g for g in row] for row in rs.gram_of_M()])
     u_inv = intlinalg.mat_inverse(intlinalg.frac_matrix(u))
-    adapted = intlinalg.mat_mul(s_cols, u_inv)  # columns: Smith-adapted basis of M*
-    divisors = [d[i][i] for i in range(l)]
     out = []
-    for coeffs in product(*(range(di) for di in divisors)):
-        m = tuple(sum(adapted[i][j] * coeffs[j] for j in range(l)) for i in range(l))
-        point = TorusPoint(rs.coroot_to_weight_space(m).scale(Fraction(1, n)))
-        out.append((m, point))
+    for coeffs in product(*(range(d[i][i]) for i in range(rs.rank))):
+        y = intlinalg.mat_vec(u_inv, coeffs)
+        out.append((intlinalg.mat_vec(rs.gram_weights, y),
+                    TorusPoint(Weight(y).scale(Fraction(1, n)))))
     assert len(out) == lattice_index(rs, k)
     return out
 

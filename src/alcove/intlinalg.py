@@ -22,11 +22,6 @@ def mat_vec(m: Mat, v) -> Vec:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
 def mat_inverse(m: Mat) -> Mat:
     """Invert a square rational matrix by Gauss-Jordan elimination."""
     n = len(m)
@@ -46,56 +41,11 @@ def mat_inverse(m: Mat) -> Mat:
     return [row[n:] for row in a]
 
 
-def solve(m: Mat, v) -> Vec:
-    """Solve m x = v exactly (m square invertible)."""
-    return mat_vec(mat_inverse(m), v)
-
-
 def is_integral(v) -> bool:
     return all(Fraction(x).denominator == 1 for x in v)
 
 
 # -- integer normal forms ----------------------------------------------------
-
-def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
-    """Row-style HNF of an integer matrix; zero rows are dropped.
-
-    Returns a basis (as rows) of the lattice generated by the input rows.
-    """
-    mat = [list(map(int, r)) for r in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    pivot_row = 0
-    for col in range(ncols):
-        # gcd-reduce everything below pivot_row in this column
-        while True:
-            nonzero = [r for r in range(pivot_row, len(mat)) if mat[r][col] != 0]
-            if not nonzero:
-                break
-            r0 = min(nonzero, key=lambda r: abs(mat[r][col]))
-            mat[pivot_row], mat[r0] = mat[r0], mat[pivot_row]
-            done = True
-            for r in range(pivot_row + 1, len(mat)):
-                if mat[r][col] != 0:
-                    q = mat[r][col] // mat[pivot_row][col]
-                    mat[r] = [a - q * b for a, b in zip(mat[r], mat[pivot_row])]
-                    if mat[r][col] != 0:
-                        done = False
-            if done:
-                break
-        if any(mat[r][col] != 0 for r in range(pivot_row, len(mat))):
-            if mat[pivot_row][col] < 0:
-                mat[pivot_row] = [-a for a in mat[pivot_row]]
-            for r in range(pivot_row):
-                q = mat[r][col] // mat[pivot_row][col]
-                if q:
-                    mat[r] = [a - q * b for a, b in zip(mat[r], mat[pivot_row])]
-            pivot_row += 1
-            if pivot_row == len(mat):
-                break
-    return [row for row in mat[:pivot_row]]
-
 
 def smith_normal_form(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Return (u, d, v) with d = u * mat * v in Smith normal form.

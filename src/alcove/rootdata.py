@@ -192,8 +192,12 @@ class RootSystem:
         self.dual_coxeter = 1 + sum(self.comarks)
         self.rho = self.weight_from_coords([1] * rank)
 
-        self.lattice_M_basis = self._long_coweight_lattice()
-        self.lattice_Mstar_basis = self._dual_lattice(self.lattice_M_basis)
+        # M, the span of the Weyl orbit of theta^v, is the coroot lattice Q^v: W is
+        # transitive on the long roots, whose coroots span Q^v.  Its basis is the
+        # simple coroots, and the dual basis of M* = nu^-1(P) is nu^-1 of the
+        # fundamental weights, whose coroot coordinates are the rows of gram_weights.
+        self.lattice_M_basis = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+        self.lattice_Mstar_basis = tuple(tuple(row) for row in self.gram_weights)
 
     # -- coordinates ---------------------------------------------------------
 
@@ -235,55 +239,16 @@ class RootSystem:
 
     # -- lattices ------------------------------------------------------------
 
-    def _long_coweight_lattice(self) -> tuple[tuple[int, ...], ...]:
-        """Basis (rows, coroot coordinates) of the span of the Weyl orbit of theta^v."""
-        orbit = {self.comarks}
-        frontier = [self.comarks]
-        while frontier:
-            v = frontier.pop()
-            for i in range(self.rank):
-                w = list(v)
-                # s_i on coroot coordinates: only the i-th entry moves
-                w[i] -= sum(self.cartan[j][i] * v[j] for j in range(self.rank))
-                w_t = tuple(w)
-                if w_t not in orbit:
-                    orbit.add(w_t)
-                    frontier.append(w_t)
-        basis = intlinalg.hermite_normal_form([list(v) for v in sorted(orbit)])
-        if len(basis) != self.rank:
-            raise AssertionError("orbit of theta^v does not span")
-        return tuple(tuple(row) for row in basis)
-
-    def _dual_lattice(self, basis_rows) -> tuple[tuple[Fraction, ...], ...]:
-        """{t : (t|n) in Z for all n in the given lattice}, rows in coroot coords."""
-        e = [[sum(Fraction(basis_rows[r][k]) * self.gram_coroots[k][j]
-                  for k in range(self.rank)) for j in range(self.rank)]
-             for r in range(self.rank)]
-        inv = intlinalg.mat_inverse(e)
-        return tuple(tuple(inv[i][j] for i in range(self.rank)) for j in range(self.rank))
-
     def gram_of_M(self) -> list[list[int]]:
-        b = self.lattice_M_basis
-        g = [[sum(Fraction(b[r][i]) * self.gram_coroots[i][j] * b[s][j]
-                  for i in range(self.rank) for j in range(self.rank))
-              for s in range(self.rank)] for r in range(self.rank)]
-        assert all(x.denominator == 1 for row in g for x in row)
-        return [[int(x) for x in row] for row in g]
+        """Gram matrix of the M basis, (alpha_i^v | alpha_j^v): integral as M is in M*."""
+        assert all(x.denominator == 1 for row in self.gram_coroots for x in row)
+        return [[int(x) for x in row] for row in self.gram_coroots]
 
     def in_lattice_M(self, coroot_coords) -> bool:
-        coords = intlinalg.solve(
-            [[Fraction(self.lattice_M_basis[r][j]) for r in range(self.rank)]
-             for j in range(self.rank)],
-            [Fraction(x) for x in coroot_coords])
-        return intlinalg.is_integral(coords)
+        return intlinalg.is_integral(coroot_coords)
 
     def in_lattice_Mstar(self, coroot_coords) -> bool:
-        for row in self.lattice_M_basis:
-            p = sum(Fraction(coroot_coords[i]) * self.gram_coroots[i][j] * row[j]
-                    for i in range(self.rank) for j in range(self.rank))
-            if p.denominator != 1:
-                return False
-        return True
+        return intlinalg.is_integral(intlinalg.mat_vec(self.gram_coroots, coroot_coords))
 
     def to_json_dict(self) -> dict:
         return {
@@ -333,9 +298,9 @@ def inner(rs: RootSystem, a: Weight, b: Weight) -> Fraction:
 def lattice_index(rs: RootSystem, k: int) -> int:
     """Order of M*/(k+h^v)M, via Smith normal form.
 
-    The change-of-basis matrix of (k+h^v) * (M basis) in the M* basis is
-    exactly (k+h^v) * Gram(M basis), which is integral because M is contained
-    in M*.
+    M = Q^v and nu(M*) = P, so the change-of-basis matrix of (k+h^v) * (simple
+    coroots) in the basis nu^-1(Lambda_j) of M* is the integer matrix
+    (k+h^v) * gram_of_M().
     """
     if k < 0:
         raise ConfigurationError("level must be nonnegative")

@@ -37,7 +37,10 @@ class WeylElement(namedtuple("WeylElement", "action sign word")):
     """Finite Weyl group element.
 
     action is the integer matrix (IntMat) on fundamental-weight coordinates;
-    sign is the determinant; word is a reduced word in simple reflections.
+    sign is the determinant; word is a word in simple reflections that
+    multiplies out to w.  It is reduced for the elements that enumerate_weyl,
+    simple_reflection, reflection_in_root and longest_element return, but a
+    product concatenates words, so s_0 * s_0 has word (0, 0).
     """
 
     __slots__ = ()
@@ -120,9 +123,7 @@ def _descent_word(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
 
 
 def act(w: WeylElement, a: Weight) -> Weight:
-    n = len(w.action)
-    return Weight(tuple(sum(Fraction(w.action[i][j]) * a.coords[j] for j in range(n))
-                        for i in range(n)))
+    return Weight(intlinalg.mat_vec(w.action, a.coords))
 
 
 @lru_cache(maxsize=None)
@@ -259,7 +260,7 @@ def find_alcove(rs: RootSystem, k: int, x: TorusPoint) -> tuple[AffineWeylElemen
 
 
 def factor_affine(rs: RootSystem, w_aff: AffineWeylElement, w_fin: WeylElement) -> tuple[int, ...]:
-    """Translation v with w_aff = (translate by v) o w_fin, v in the orbit lattice of theta^v.
+    """Translation v with w_aff = (translate by v) o w_fin, v in M = Q^v.
 
     Raises MismatchError when the pair does not correspond (different finite
     parts, or a translation escaping that lattice).
@@ -267,5 +268,5 @@ def factor_affine(rs: RootSystem, w_aff: AffineWeylElement, w_fin: WeylElement) 
     if w_aff.finite.action != w_fin.action:
         raise MismatchError("finite parts differ; the pair is not corresponding")
     if not rs.in_lattice_M(w_aff.translation):
-        raise MismatchError("translation is not in the long-coweight lattice")
+        raise MismatchError("translation is not in the coroot lattice M = Q^v")
     return w_aff.translation

@@ -195,6 +195,19 @@ def test_full_grid_size_is_lattice_index(name, k):
         assert rs.in_lattice_Mstar(m)
 
 
+@pytest.mark.parametrize("name,k", [("A1", 1), ("A1", 2), ("A1", 3), ("A2", 1), ("B2", 2),
+                                    ("G2", 1), ("C3", 1)])
+def test_full_grid_is_a_transversal(name, k):
+    # labels lie in distinct cosets of (k+h^v)M, and each point is nu(label)/(k+h^v);
+    # M = Q^v is Z^rank in coroot coordinates, so reducing mod k+h^v names the coset
+    rs = from_name(name)
+    n = k + rs.dual_coxeter
+    grid = chareval.full_grid(rs, k)
+    for m, p in grid:
+        assert p == TorusPoint(rs.coroot_to_weight_space(m).scale(Fraction(1, n)))
+    assert len({tuple(x % n for x in m) for m, _ in grid}) == len(grid)
+
+
 def test_full_grid_a1_level1_has_six_points():
     a1 = from_name("A1")
     grid = chareval.full_grid(a1, 1)

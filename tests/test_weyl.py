@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from alcove import rootdata, weyl
+from alcove import intlinalg, rootdata, weyl
 from alcove.rootdata import TorusPoint, from_name, inner
 
 
@@ -287,10 +287,30 @@ def test_coroot_action_preserves_pairing(name):
                     rs.pairing_with_coroot_vector(lam, v)
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "C3", "G2", "F4", "D4"])
+ALL_TYPES = ([f"A{r}" for r in range(1, 8)] + [f"B{r}" for r in range(2, 7)]
+             + [f"C{r}" for r in range(2, 7)] + [f"D{r}" for r in range(4, 8)]
+             + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
 def test_orbit_lattice_of_theta_covee_is_the_coroot_lattice(name):
-    # the Weyl orbit of theta^v contains the long-root coroots, whose
-    # differences already generate every simple coroot
+    # the paper's M is the span of the Weyl orbit of theta^v; RootSystem takes
+    # it to be Q^v (simple-coroot basis), with M* spanned by nu^-1(Lambda_j)
     rs = from_name(name)
-    for i in range(rs.rank):
-        assert rs.in_lattice_M(tuple(int(i == j) for j in range(rs.rank)))
+    orbit = {rs.highest_coroot}
+    frontier = [rs.highest_coroot]
+    while frontier:
+        v = frontier.pop()
+        for i in range(rs.rank):
+            w = list(v)  # s_i on coroot coordinates: v_i <- v_i - sum_j A_ji v_j
+            w[i] -= sum(rs.cartan[j][i] * v[j] for j in range(rs.rank))
+            w = tuple(w)
+            if w not in orbit:
+                orbit.add(w)
+                frontier.append(w)
+    assert all(type(x) is int for v in orbit for x in v)
+    assert intlinalg.elementary_divisors([list(v) for v in sorted(orbit)]) == [1] * rs.rank
+    assert rs.lattice_M_basis == tuple(tuple(int(i == j) for j in range(rs.rank))
+                                       for i in range(rs.rank))
+    for j in range(rs.rank):
+        assert rs.coroot_to_weight_space(rs.lattice_Mstar_basis[j]) == rs.fundamental_weight(j)
