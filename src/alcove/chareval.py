@@ -2,30 +2,31 @@
 
 Every exponential of an integral weight at a rational point is a root of
 unity, evaluated on an exact integer residue mod N, never on a float angle.
-With D the lcm of the denominators of gram_weights, G = D * gram_weights, d_x
-the lcm of the coordinate denominators of x and N = D * d_x, residues(rs, x)
-gives N and v = G (d_x x), so that (a | x) = residue(a, v) / N for every
-integral weight a.  For a Weyl element w, h_w = pullback(w, v) =
-w.action^T v gives (w a | x) = residue(a, h_w) / N.  The phase is
-exp(2 pi i (r mod N) / N); regularity (no residue of a root is 0 mod N),
-Weyl denominators, characters and the localization sum all read these
-residues.  r / N is the correctly rounded value of the angle, the same
-double as float() of the reduced Fraction angle, so with the Weyl order and
-every sum order kept the values are bitwise those of a Fraction evaluation
-(tests/test_chareval.py keeps one as the reference).
+With D the lcm of the denominators of gram_weights and G = D * gram_weights,
+a point x = y / m (y integral in fundamental-weight coordinates) has N = D * m
+and v = G y, so (a | x) = residue(a, v) / N; phase(r, N) = exp(2 pi i (r mod
+N) / N).  residues(rs, x) takes m = d_x, the lcm of the denominators of x; a
+level-k grid takes m = k + h^v at every point, so one N and one phase table
+serve it.  r / N is the same double for any such N: the correctly rounded
+reduced angle.  Characters sum sign(w) phase((w a) . v) over the signed orbit
+of a = lam + rho (weyl.orbit) in enumerate_weyl order; regularity and the Weyl
+denominator read the root residues.  The localization sum and the identities
+instead pull the point back, h_w = pullback(w, v) = w.action^T v, through each
+listed Weyl element: a path independent of the characters.  Every value is
+bitwise that of a Fraction evaluation (tests/test_chareval.py keeps one).
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, partial, reduce
+from itertools import product, repeat
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from . import intlinalg, weyl
-from .rootdata import (RootSystem, TorusPoint, Weight, inner, lattice_index,
+from .rootdata import (RootSystem, TorusPoint, Weight, lattice_index,
                        weights_at_level)
 
 GRID_SHIFTED = "shifted"
@@ -98,19 +99,55 @@ def is_regular(rs: RootSystem, x: TorusPoint) -> bool:
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
-    num = Fraction(1)
-    shifted = lam + rs.rho
-    for alpha in rs.positive_roots:
-        num *= inner(rs, shifted, alpha) / inner(rs, rs.rho, alpha)
-    assert num.denominator == 1
-    return int(num)
+    """prod over alpha > 0 of (lam + rho | alpha) / (rho | alpha), in integers."""
+    if not lam.is_integral:
+        raise ValueError("the dimension formula needs an integral weight")
+    _, gram = _integer_gram(rs)
+    shifted = [int(c) + 1 for c in lam.coords]
+    num = den = 1
+    for beta in _root_rows(rs):
+        g = [sum(map(mul, row, beta)) for row in gram]  # D (Lambda_j | beta)
+        num *= sum(map(mul, shifted, g))
+        den *= sum(g)
+    assert num % den == 0
+    return num // den
+
+
+@lru_cache(maxsize=None)
+def _root_rows(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """The positive roots in integer fundamental-weight coordinates."""
+    return tuple(tuple(int(c) for c in beta.coords) for beta in rs.positive_roots)
+
+
+def _shifted_orbits(rs: RootSystem, lams) -> list:
+    """(signs, coordinate columns) of the signed Weyl orbits of rho and of each lam + rho."""
+    out = []
+    for a in (rs.zero_weight(), *lams):
+        signs, images = zip(*weyl.orbit(rs, [int(c) + 1 for c in a.coords]))
+        out.append((signs, list(zip(*images))))
+    return out
+
+
+def _alternating_sum(orbit, n: int, v, phases) -> complex:
+    """sum of sign(w) e^{w a} over W, in enumerate_weyl order, at the point with residues (n, v)."""
+    signs, columns = orbit
+    r = map(mul, columns[0], repeat(v[0]))  # (w a) . v, one coordinate at a time
+    for column, vj in zip(columns[1:], v[1:]):
+        r = map(add, r, map(mul, column, repeat(vj)))
+    return reduce(add, map(mul, signs, map(phases, map(n.__rmod__, r))), 0j)
+
+
+def _quotients(orbits, n: int, v, phases) -> list[complex]:
+    """Weyl character quotients at a regular point, the denominator summed once."""
+    base = _alternating_sum(orbits[0], n, v, phases)
+    return [_alternating_sum(orbit, n, v, phases) / base for orbit in orbits[1:]]
 
 
 def characters(rs: RootSystem, lams, x: TorusPoint) -> list[complex | None]:
     """Characters of the dominant integral weights lams at x, in order.
 
-    Regular x: alternating-sum quotient, the denominator (the rho entry)
-    computed once.  x = 0: dimension formula.  Any other singular x: None.
+    Regular x: alternating-sum quotient over the signed orbits of lam + rho.
+    x = 0: dimension formula.  Any other singular x: None.
     """
     if not all(lam.is_dominant and lam.is_integral for lam in lams):
         raise ValueError("highest weight must be dominant integral")
@@ -119,18 +156,33 @@ def characters(rs: RootSystem, lams, x: TorusPoint) -> list[complex | None]:
     if not is_regular(rs, x):
         return [None] * len(lams)
     n, v = residues(rs, x)
-    hs = [(w.sign, pullback(w, v)) for w in weyl.enumerate_weyl(rs)]
-    cached_phase = lru_cache(maxsize=None)(lambda r: phase(r, n))
+    phases = lru_cache(maxsize=None)(partial(phase, n=n))  # each value computed once
+    return _quotients(_shifted_orbits(rs, lams), n, v, phases)
 
-    def alternating_sum(a: Weight) -> complex:
-        a = [int(c) for c in a.coords]  # residue(a, h), integer coordinates made once
-        total = 0j
-        for sign, h in hs:
-            total += sign * cached_phase(sum(map(mul, a, h)) % n)
-        return total
 
-    den = alternating_sum(rs.rho)
-    return [alternating_sum(lam + rs.rho) / den for lam in lams]
+def grid_columns(rs: RootSystem, k: int, lams, mode: str = GRID_SHIFTED):
+    """(label, point, Weyl denominator, characters of lams) at each point of the level-k grid.
+
+    The point y / (k+h^v) has the residues N = D (k+h^v) and v = G y, so one
+    modulus, one phase table and one orbit per weight serve the whole grid;
+    regularity and the denominator read the same root residues as characters().
+    """
+    d, gram = _integer_gram(rs)
+    n = d * (k + rs.dual_coxeter)
+    phases = lru_cache(maxsize=None)(partial(phase, n=n))
+    orbits, roots = _shifted_orbits(rs, lams), _root_rows(rs)
+    for label, y, point in _grid(rs, k, mode):
+        v = [sum(map(mul, row, y)) for row in gram]
+        den, regular = 1 + 0j, True
+        for beta in roots:
+            r = sum(map(mul, beta, v))
+            regular = regular and r % n != 0
+            den *= 1 - phases(-r % n)
+        if not any(y):  # the identity
+            column = [complex(weyl_dimension(rs, lam)) for lam in lams]
+        else:
+            column = _quotients(orbits, n, v, phases) if regular else [None] * len(lams)
+        yield label, point, den, column
 
 
 def character(rs: RootSystem, lam: Weight, x: TorusPoint) -> complex:
@@ -163,39 +215,42 @@ def localization_sum(rs: RootSystem, lam: Weight, x: TorusPoint) -> complex:
 
 # -- evaluation grids ---------------------------------------------------------
 
-def shifted_grid(rs: RootSystem, k: int) -> list[tuple[Weight, TorusPoint]]:
-    """Points nu^-1((lam+rho)/(k+h^v)) for lam of level <= k, labeled by lam."""
-    n = k + rs.dual_coxeter
-    out = []
-    for lam in weights_at_level(rs, k):
-        out.append((lam, TorusPoint((lam + rs.rho).scale(Fraction(1, n)))))
-    return out
+def _grid(rs: RootSystem, k: int, mode: str) -> list:
+    """(label, y, point) for each grid point y / (k+h^v), y integral in fundamental-weight coordinates.
 
-
-def full_grid(rs: RootSystem, k: int) -> list[tuple[tuple[Fraction, ...], TorusPoint]]:
-    """Coset representatives of M*/(k+h^v)M, labeled by the representative.
-
-    M = Q^v and nu(M*) = P, so (k+h^v)M has the integer matrix (k+h^v) *
-    gram_of_M() in the basis nu^-1(Lambda_j) of M*.  With u x v = d its Smith
-    form, the representatives have M* coordinates y = u^-1 c, 0 <= c_i < d_i;
-    the label is y in coroot coordinates and the point is nu(y) / (k+h^v),
-    the weight with fundamental-weight coordinates y / (k+h^v).
+    Shifted grid: y = lam + rho for lam of level <= k, labeled by lam.  Full
+    grid: coset representatives of M*/(k+h^v)M.  M = Q^v and nu(M*) = P, so
+    (k+h^v)M has the integer matrix (k+h^v) * gram_of_M() in the basis
+    nu^-1(Lambda_j) of M*.  With u x v = d its Smith form, the representatives
+    have M* coordinates y = u^-1 c, 0 <= c_i < d_i, and are labeled by y in
+    coroot coordinates, gram_weights y.
     """
     n = k + rs.dual_coxeter
-    u, d, _ = intlinalg.smith_normal_form([[n * g for g in row] for row in rs.gram_of_M()])
-    u_inv = intlinalg.mat_inverse(intlinalg.frac_matrix(u))
-    out = []
-    for coeffs in product(*(range(d[i][i]) for i in range(rs.rank))):
-        y = intlinalg.mat_vec(u_inv, coeffs)
-        out.append((intlinalg.mat_vec(rs.gram_weights, y),
-                    TorusPoint(Weight(y).scale(Fraction(1, n)))))
-    assert len(out) == lattice_index(rs, k)
-    return out
+    if mode == GRID_SHIFTED:
+        labeled = [(lam, [int(c) + 1 for c in lam.coords]) for lam in weights_at_level(rs, k)]
+    elif mode == GRID_FULL:
+        d, gram = _integer_gram(rs)
+        u, diag, _ = intlinalg.smith_normal_form([[n * g for g in row] for row in rs.gram_of_M()])
+        u_inv = [[int(c) for c in row] for row in intlinalg.mat_inverse(intlinalg.frac_matrix(u))]
+        ys = [[sum(map(mul, row, c)) for row in u_inv]
+              for c in product(*(range(diag[i][i]) for i in range(rs.rank)))]
+        labeled = [(tuple(Fraction(sum(map(mul, row, y)), d) for row in gram), y) for y in ys]
+        assert len(labeled) == lattice_index(rs, k)
+    else:
+        raise ValueError(f"unknown grid mode {mode!r}")
+    return [(label, y, TorusPoint(Weight(tuple(Fraction(c, n) for c in y)))) for label, y in labeled]
 
 
 def special_grid(rs: RootSystem, k: int, mode: str = GRID_SHIFTED):
-    if mode == GRID_SHIFTED:
-        return shifted_grid(rs, k)
-    if mode == GRID_FULL:
-        return full_grid(rs, k)
-    raise ValueError(f"unknown grid mode {mode!r}")
+    """(label, point) pairs of the level-k grid of the given mode."""
+    return [(label, point) for label, _, point in _grid(rs, k, mode)]
+
+
+def shifted_grid(rs: RootSystem, k: int) -> list[tuple[Weight, TorusPoint]]:
+    """Points nu^-1((lam+rho)/(k+h^v)) for lam of level <= k, labeled by lam."""
+    return special_grid(rs, k, GRID_SHIFTED)
+
+
+def full_grid(rs: RootSystem, k: int) -> list[tuple[tuple[Fraction, ...], TorusPoint]]:
+    """Coset representatives of M*/(k+h^v)M, labeled by their coroot coordinates."""
+    return special_grid(rs, k, GRID_FULL)

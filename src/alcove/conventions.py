@@ -32,8 +32,13 @@ from operator import mul
 
 from . import chareval
 from .chareval import GRID_FULL, GRID_SHIFTED
-from .rootdata import RootSystem, lattice_index, weights_at_level
-from .weyl import weyl_order
+from .rootdata import RootSystem, count_weights_at_level, lattice_index, weights_at_level
+from .weyl import ResourceError, weyl_order
+
+# Cap on (weights + 1) * points * |W|, the orbit terms a character table sums,
+# checked before anything is listed.  At 0.5-1.3 us per term (2-vCPU VM) the
+# largest admitted tables take 1-3 s; E6 at level 1 needs 622,080.
+DEFAULT_GRID_CAP = 2_000_000
 
 
 GridConventions = namedtuple("GridConventions", "grid_mode include_empty_subset",
@@ -42,21 +47,14 @@ FROZEN = GridConventions()
 
 
 def grid_measure(rs: RootSystem, k: int, mode: str | None = None):
-    """(label, point, weight) triples defining the inversion measure.
+    """(label, point, weight) triples defining the inversion measure (CharacterTable.measure).
 
     Summing chi_b * conj(chi_a) against the weights gives delta_ab exactly
     (up to float noise) in either grid mode; non-regular full-grid points
     carry weight 0 because the denominator vanishes there.
     """
-    mode = mode or FROZEN.grid_mode
-    pref = 1.0 / lattice_index(rs, k)
-    if mode == GRID_FULL:
-        pref /= weyl_order(rs)
-    out = []
-    for label, point in chareval.special_grid(rs, k, mode):
-        d = chareval.weyl_denominator(rs, point)
-        out.append((label, point, (d * d.conjugate()).real * pref))
-    return out
+    table = character_table(rs, k, mode)
+    return list(zip(table.labels, table.points, table.measure))
 
 
 class CharacterTable(namedtuple("CharacterTable", "mode weights labels points regular "
@@ -65,7 +63,8 @@ class CharacterTable(namedtuple("CharacterTable", "mode weights labels points re
 
     values[i][t] is the character of weights[i] at points[t]: the dimension
     at the identity and None at any other singular point.  measure[t] is the
-    grid_measure weight of points[t], zero exactly at the singular points.
+    weight |D(t)|^2 / |M*/(k+h^v)M| (also / |W| on the full grid), zero
+    exactly at the singular points.
     live lists the indices t of nonzero measure, and duals[c][s] is
     conj(chi_c) * measure at points[live[s]]: the measure folded in once.
     """
@@ -87,9 +86,17 @@ def character_table(rs: RootSystem, k: int, mode: str | None = None) -> Characte
 
 @lru_cache(maxsize=64)
 def _character_table(rs: RootSystem, k: int, mode: str) -> CharacterTable:
-    labels, points, measure = zip(*grid_measure(rs, k, mode))
+    count = count_weights_at_level(rs, k)
+    size = count if mode == GRID_SHIFTED else lattice_index(rs, k)
+    cost = (count + 1) * size * weyl_order(rs)  # orbit terms summed over the grid
+    if cost > DEFAULT_GRID_CAP:
+        raise ResourceError(f"character table cost {cost} exceeds cap {DEFAULT_GRID_CAP}")
+    pref = 1.0 / lattice_index(rs, k)
+    if mode == GRID_FULL:
+        pref /= weyl_order(rs)
     lams = tuple(weights_at_level(rs, k))
-    columns = [chareval.characters(rs, lams, p) for p in points]
+    labels, points, dens, columns = zip(*chareval.grid_columns(rs, k, lams, mode))
+    measure = tuple((d * d.conjugate()).real * pref for d in dens)
     regular = tuple(not p.is_zero and col[0] is not None for p, col in zip(points, columns))
     values = [list(row) for row in zip(*columns)]
     live = tuple(t for t, wgt in enumerate(measure) if wgt)

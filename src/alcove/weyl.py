@@ -6,9 +6,13 @@ the pairing <lam, v> = lam.coords . v.  Affine elements are (finite part,
 translation) pairs with the translation stored in simple-coroot coordinates.
 The level enters only when an element acts on a torus point.
 
-W is listed breadth-first by left multiplication with simple reflections,
-keyed by w(rho) (injective, as rho is regular); s_i * w differs from w only in
-the rows on the support of alpha_i, so each new element costs O(rank).
+W is walked once, breadth-first by left multiplication with simple
+reflections, keyed by w(rho) (injective, as rho is regular), and cached as a
+skeleton: each element is s_i times an earlier one.  orbit(rs, a) replays the
+skeleton on a; s_i(u) = u - u_i alpha_i changes only the coordinates on the
+support of alpha_i, so each image costs O(rank).  enumerate_weyl reads the
+matrices off the orbits of the fundamental weights (column j of w is
+w(Lambda_j)).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from . import intlinalg
 from .rootdata import RootSystem, TorusPoint, Weight, inner
@@ -154,34 +159,79 @@ def order_formula(rs: RootSystem) -> int:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(rs: RootSystem, cap: int) -> tuple[WeylElement, ...]:
-    weyl_order(rs, cap)
-    # (k, alpha_i[k]) on the support of alpha_i: the only rows s_i * w changes
-    supports = [[(k, int(a)) for k, a in enumerate(rs.simple_root(i).coords) if a]
-                for i in range(rs.rank)]
-    seen = {(1,) * rs.rank: identity_element(rs)}  # keyed by w(rho)
-    frontier = list(seen.items())
-    while frontier:
-        nxt = []
-        for mu, w in frontier:
+def _supports(rs: RootSystem) -> tuple[dict[int, int], ...]:
+    """{k: alpha_i[k]} on the support of alpha_i: the only coordinates s_i changes."""
+    return tuple({k: int(a) for k, a in enumerate(rs.simple_root(i).coords) if a}
+                 for i in range(rs.rank))
+
+
+@lru_cache(maxsize=None)
+def _skeleton(rs: RootSystem) -> tuple[tuple[int, int, int], ...]:
+    """W in enumerate_weyl order as (parent index, i, sign): element t is s_i * parent.
+
+    The identity is (-1, -1, 1); every parent comes before its children.
+    """
+    weyl_order(rs)
+    supports = _supports(rs)
+    rho = (1,) * rs.rank
+    seen, skeleton = {rho}, [(-1, -1, 1)]
+    level = [(rho, (), 0)]  # (w(rho), word, index) in discovery order
+    while level:
+        found = []
+        for mu, word, t in level:
             for i, support in enumerate(supports):
+                if mu[i] < 0:  # s_i * w is shorter than w, so already seen
+                    continue
                 key = list(mu)  # s_i(mu) = mu - mu_i alpha_i
-                for k, a in support:
+                for k, a in support.items():
                     key[k] -= a * mu[i]
                 key = tuple(key)
                 if key not in seen:  # BFS: words come out geodesic, hence reduced
-                    rows = list(w.action)  # s_i * w = M - alpha_i (x) M[i]
-                    for k, a in support:
-                        rows[k] = tuple(x - a * y for x, y in zip(rows[k], w.action[i]))
-                    seen[key] = WeylElement(tuple(rows), -w.sign, (i,) + w.word)
-                    nxt.append((key, seen[key]))
-        frontier = nxt
-    return tuple(sorted(seen.values(), key=lambda w: (len(w.word), w.word)))
+                    seen.add(key)
+                    found.append([(i,) + word, t, key])
+        sign = -skeleton[-1][2]
+        for entry in sorted(found):  # one word length per level: sort by word
+            entry.append(len(skeleton))
+            skeleton.append((entry[1], entry[0][0], sign))
+        level = [(key, word, t) for word, _, key, t in found]
+    return tuple(skeleton)
+
+
+@lru_cache(maxsize=None)
+def _enumerate_cached(rs: RootSystem) -> tuple[WeylElement, ...]:
+    # column j of the matrix of w is w(Lambda_j), so each matrix is a transpose
+    columns = zip(*(orbit(rs, row) for row in _identity_mat(rs.rank)))
+    group = [identity_element(rs)]
+    for (parent, i, sign), column in zip(_skeleton(rs)[1:], islice(columns, 1, None)):
+        action = tuple(zip(*(image for _, image in column)))
+        group.append(WeylElement(action, sign, (i,) + group[parent].word))
+    return tuple(group)
 
 
 def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> tuple[WeylElement, ...]:
     """All Weyl group elements, sorted by word length then word."""
-    return _enumerate_cached(rs, cap)
+    weyl_order(rs, cap)
+    return _enumerate_cached(rs)
+
+
+def orbit(rs: RootSystem, a) -> list[tuple[int, tuple]]:
+    """[(sign(w), w a) for w in enumerate_weyl(rs)], a in fundamental-weight coordinates.
+
+    Replays the skeleton of W on a, O(rank) per element, without listing W
+    as matrices.
+    """
+    supports = _supports(rs)
+    out = [(1, tuple(a))]
+    for parent, i, sign in _skeleton(rs)[1:]:
+        u = out[parent][1]
+        c = u[i]
+        if c:  # s_i(u) = u - u_i alpha_i
+            u = list(u)
+            for k, s in supports[i].items():
+                u[k] -= s * c
+            u = tuple(u)
+        out.append((sign, u))
+    return out
 
 
 def weyl_order(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> int:

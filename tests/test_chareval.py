@@ -95,6 +95,21 @@ def test_character_trivial_and_dimension():
     adjoint = a2.highest_root
     assert character(a2, adjoint, zero) == 8
     assert chareval.weyl_dimension(a2, a2.fundamental_weight(0)) == 3
+    with pytest.raises(ValueError):
+        chareval.weyl_dimension(a2, a2.fundamental_weight(0).scale(Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4", "E6"])
+def test_weyl_dimension_is_the_fraction_product(name):
+    rs = from_name(name)
+    rng = random.Random(6)
+    for _ in range(8):  # any integral weight: the product is 0 or +-dim of an irreducible
+        lam = rs.weight_from_coords([rng.randint(-4, 4) for _ in range(rs.rank)])
+        expected = Fraction(1)
+        for alpha in rs.positive_roots:
+            expected *= inner(rs, lam + rs.rho, alpha) / inner(rs, rs.rho, alpha)
+        assert chareval.weyl_dimension(rs, lam) == expected
+        assert type(chareval.weyl_dimension(rs, lam)) is int
 
 
 def test_character_rank1_closed_form():
@@ -290,15 +305,22 @@ def test_character_table_cache_resolves_the_default_mode():
 
 @pytest.mark.parametrize("name,k,mode",
                          [(name, k, "shifted") for name in ["A1", "A2", "A3", "B2", "C3", "G2"]
-                          for k in range(3)] + [("B2", 2, "full")])
+                          for k in range(3)]
+                         + [("B2", 2, "full"), ("D4", 1, "shifted"), ("F4", 1, "shifted"),
+                            ("A2", 2, "full"), ("G2", 1, "full")])
 def test_character_table_is_bitwise_the_fraction_path(name, k, mode):
     rs = from_name(name)
     table = conventions.character_table(rs, k, mode)
     assert table.weights == tuple(rootdata.weights_at_level(rs, k))
     assert [w for _, _, w in conventions.grid_measure(rs, k, mode)] == list(table.measure)
+    assert [(label, x) for label, x in chareval.special_grid(rs, k, mode)] == \
+        list(zip(table.labels, table.points))
+    pref = 1.0 / rootdata.lattice_index(rs, k) / (weyl.weyl_order(rs) if mode == "full" else 1)
     for t, x in enumerate(table.points):
         assert table.regular[t] == is_regular(rs, x) == fraction_is_regular(rs, x)
         assert weyl_denominator(rs, x) == fraction_denominator(rs, x)
+        d = fraction_denominator(rs, x)
+        assert table.measure[t] == (d * d.conjugate()).real * pref
         for lam, row in zip(table.weights, table.values):
             if x.is_zero:
                 expected = complex(chareval.weyl_dimension(rs, lam))
@@ -325,3 +347,21 @@ def test_character_at_random_points_is_bitwise_the_fraction_path(name):
             lam = lams[rng.randrange(len(lams))]
             assert character(rs, lam, x) == fraction_path_character(rs, lam, x)
             assert localization_sum(rs, lam, x) == fraction_localization_sum(rs, lam, x)
+
+
+def test_characters_never_list_the_weyl_group(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the character path listed W or pulled a point back")
+
+    expected = {(name, k): conventions._character_table.__wrapped__(from_name(name), k, "shifted")
+                for name, k in [("F4", 1), ("D4", 1)]}
+    a2 = from_name("A2")
+    x = point(a2, [Fraction(1, 5), Fraction(2, 7)])
+    lams = rootdata.weights_at_level(a2, 2)
+    before = chareval.characters(a2, lams, x)
+    monkeypatch.setattr(weyl, "enumerate_weyl", refuse)
+    monkeypatch.setattr(chareval, "pullback", refuse)
+    for (name, k), table in expected.items():
+        assert conventions._character_table.__wrapped__(from_name(name), k, "shifted") == table
+    assert chareval.characters(a2, lams, x) == before
+    assert character(a2, lams[-1], x) == before[-1]

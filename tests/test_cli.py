@@ -4,8 +4,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alcove import cli, conventions, identities, levelshift, verify, verlinde
+from alcove import chareval, cli, conventions, identities, levelshift, rootdata, verify, \
+    verlinde, weyl
 from alcove.rootdata import TorusPoint, from_name
 
 
@@ -282,6 +285,15 @@ def test_cli_import_skips_dataclasses_and_inspect():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+def test_cli_import_skips_the_json_package():
+    """Start-up cost: the writer takes json's C escaper without importing json (about 2 ms)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import alcove.cli; "
+             "print(sorted(m for m in sys.modules if m == 'json' or m.startswith('json.')))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_nonpositive_samples_rejected(capsys, samples):
     code, out, err = run(capsys, "verify", "--samples", samples, "--level", "1")
@@ -311,3 +323,82 @@ def test_levelshift_suite_fails_without_checked_points(capsys, monkeypatch):
     assert code == 1
     bad = [r for r in json.loads(out)["reports"] if not r["passed"]]
     assert [(r["name"], r["samples"]) for r in bad] == [("levelshift", 0)]
+
+
+def test_grid_cost_cap_refuses_before_listing_anything(capsys, monkeypatch):
+    def listed(*args):
+        raise AssertionError("listed weights or grid points before the cap check")
+
+    monkeypatch.setattr(rootdata, "weights_at_level", listed)
+    monkeypatch.setattr(conventions, "weights_at_level", listed)
+    monkeypatch.setattr(chareval, "grid_columns", listed)
+    for args in [["grid", "--series", "A", "--rank", "2", "--level", "100000"],
+                 ["grid", "--series", "E", "--rank", "6", "--level", "1", "--grid", "full"],
+                 ["fusion", "--series", "E", "--rank", "6", "--level", "2"]]:
+        code, out, err = run(capsys, *args)
+        assert code == 2 and out == ""
+        assert err.startswith("error: character table cost ") and err.count("\n") == 1
+        assert f"exceeds cap {conventions.DEFAULT_GRID_CAP}" in err
+
+
+def test_grid_cost_cap_admits_e6_level_1_and_the_tested_grids():
+    def cost(name, k, mode):
+        rs = from_name(name)
+        n = rootdata.count_weights_at_level(rs, k)
+        points = n if mode == "shifted" else rootdata.lattice_index(rs, k)
+        return (n + 1) * points * weyl.weyl_order(rs)
+
+    assert cost("E6", 1, "shifted") == 622080 <= conventions.DEFAULT_GRID_CAP
+    for name, k, mode in [("F4", 1, "shifted"), ("D4", 1, "shifted"), ("B2", 2, "full"),
+                          ("A2", 6, "shifted"), ("C3", 2, "shifted"), ("G2", 4, "shifted"),
+                          ("A2", 11, "shifted")]:  # A2 k=11: the largest fusion_table admits
+        assert cost(name, k, mode) <= conventions.DEFAULT_GRID_CAP
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=5) | st.tuples(inner, inner)
+                   | st.lists(st.integers(), max_size=5) | st.lists(st.text(), max_size=5)
+                   | st.dictionaries(st.text(), inner, max_size=5)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_writer_is_json_dumps_with_indent(value):
+    assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_writer_edge_cases():
+    for value in [[], {}, [[]], {"a": {}}, [float("nan"), float("inf"), -float("inf"), -0.0],
+                  [True, 1, False, 0], ["\u00e9", "\ud83d", "\n\"\\"], (1, (2, "x")), 10 ** 30]:
+        assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    for value in [{1: "a"}, {"a": 1, 2: "b"}, {"a": {None: 1}}, {1, 2}, [object()], b"x",
+                  {"a": 1j}]:
+        with pytest.raises(TypeError):
+            cli._to_json(value)
+
+
+@pytest.mark.parametrize("args", [
+    ["roots", "--series", "B", "--rank", "2", "--elements"],
+    ["faces", "--series", "G", "--rank", "2"],
+    ["char", "--series", "A", "--rank", "2", "--weight", "1,1", "--point", "1/5,2/7"],
+    ["grid", "--series", "A", "--rank", "2", "--level", "2"],
+    ["grid", "--series", "B", "--rank", "2", "--level", "1", "--grid", "full"],
+    ["fusion", "--series", "G", "--rank", "2", "--level", "2"],
+    ["fusion", "--series", "A", "--rank", "2", "--level", "3", "--pair", "1,0", "1,1"],
+    ["verify", "--series", "A", "--rank", "1", "--level", "1", "--samples", "5"],
+], ids=["roots", "faces", "char", "grid", "grid-full", "fusion", "fusion-pair", "verify"])
+def test_every_payload_is_written_as_json_dumps_writes_it(capsys, monkeypatch, args):
+    payloads = []
+    writer = cli._to_json
+
+    def recording(o, *rest):
+        if not rest:
+            payloads.append(o)
+        return writer(o, *rest)
+
+    monkeypatch.setattr(cli, "_to_json", recording)
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and len(payloads) == 1
+    assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"

@@ -58,6 +58,26 @@ def test_e6_enumeration():
     assert all(w.sign == (-1) ** len(w.word) for w in group)
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3",
+                                  "C4", "D4", "D5", "G2", "F4"])
+def test_orbit_is_the_signed_image_under_enumerate_weyl(name):
+    rs = from_name(name)
+    group = weyl.enumerate_weyl(rs)
+    for a in (rs.rho, rs.highest_root, rs.fundamental_weight(rs.rank - 1) + rs.rho):
+        expected = [(w.sign, weyl.act(w, a).coords) for w in group]
+        got = weyl.orbit(rs, [int(c) for c in a.coords])
+        assert got == expected
+        assert all(type(x) is int for _, u in got for x in u)
+
+
+def test_e6_orbit_of_rho():
+    rs = from_name("E6")
+    orbit = weyl.orbit(rs, (1,) * 6)
+    assert len(orbit) == 51840
+    assert len({u for _, u in orbit}) == 51840  # rho is regular: a free orbit
+    assert sum(sign for sign, _ in orbit) == 0
+
+
 def test_enumeration_cap():
     rs = from_name("A3")
     with pytest.raises(weyl.ResourceError):
