@@ -44,6 +44,9 @@ DEFAULT_JOBS = (
     "grid --series E --rank 6 --level 1",
     "grid --series B --rank 2 --level 2 --grid full --format csv",
     "fusion --series A --rank 2 --level 6 --format csv",
+    # the --pair CSV slab and a large streamed table (2.8 MB of triples)
+    "fusion --series A --rank 2 --level 3 --pair 1,0 0,1 --format csv",
+    "fusion --series A --rank 2 --level 10",
 )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from math import isfinite
 
@@ -69,20 +70,45 @@ def _to_json(o, nl: str = "\n") -> str:
     return "[" + inner + ("," + inner).join(items) + nl + "]"
 
 
-def _emit(fmt: str, out: str | None, payload, csv_rows=None) -> None:
-    """Write payload as JSON, or the rows that csv_rows() builds as CSV."""
+def _json_pieces(payload: dict):
+    """The text _to_json(payload) + "\n" in pieces, one per record of an iterator value.
+
+    A top-level value that is an iterator is written as a JSON array, one item
+    at a time, so the output is never held whole.
+    """
+    sep = "{"
+    for key in sorted(payload):
+        value, head = payload[key], sep + "\n  " + _quote(key) + ": "
+        sep = ","
+        if not isinstance(value, Iterator):
+            yield head + _to_json(value, "\n  ")
+            continue
+        bracket = "["
+        for item in value:
+            yield head + bracket + "\n    " + _to_json(item, "\n    ")
+            head, bracket = "", ","
+        yield head + ("[]" if bracket == "[" else "\n  ]")
+    yield "{}\n" if sep == "{" else "\n}\n"
+
+
+def _emit(fmt: str, out: str | None, payload: dict, csv_rows=None) -> None:
+    """Write payload as JSON, or the rows that csv_rows() yields as CSV, piece by piece.
+
+    Every check that can fail runs before this call: the pieces only format
+    data that is already computed.
+    """
     if fmt == "csv":
-        text = "\n".join(",".join(str(c) for c in row) for row in csv_rows()) + "\n"
+        pieces = (",".join(str(c) for c in row) + "\n" for row in csv_rows())
     else:
-        text = _to_json(payload) + "\n"
+        pieces = _json_pieces(payload)
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise ConfigurationError(f"cannot write {out}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _weight_label(lam) -> str:
@@ -119,9 +145,10 @@ def cmd_roots(args: argparse.Namespace) -> int:
     data["lattice_index_at_level"] = {str(k): rootdata.lattice_index(rs, k)
                                       for k in range(args.level + 1)}
     if args.elements:
-        data["weyl_elements"] = [{"word": list(w.word), "sign": w.sign,
+        elements = weyl.enumerate_weyl(rs)  # the group cap raises here, before any output
+        data["weyl_elements"] = ({"word": list(w.word), "sign": w.sign,
                                   "action": [list(row) for row in w.action]}
-                                 for w in weyl.enumerate_weyl(rs)]
+                                 for w in elements)
     _emit(args.fmt, args.out, data)
     return EXIT_OK
 
@@ -166,10 +193,10 @@ def cmd_grid(args: argparse.Namespace) -> int:
         "system": f"{args.series}{args.rank}", "level": args.level, "grid_mode": table.mode,
         "points": points,
         "regular": list(table.regular),
-        "rows": [{"weight": _weight_label(lam),
+        "rows": ({"weight": _weight_label(lam),
                   "values": [None if v is None else {"re": v.real, "im": v.imag}
                              for v in row]}
-                 for lam, row in zip(lams, rows)],
+                 for lam, row in zip(lams, rows)),
     }
 
     def csv_rows():
@@ -187,35 +214,30 @@ def cmd_fusion(args: argparse.Namespace) -> int:
             a = _parse_weight(rs, args.pair[0])
             b = _parse_weight(rs, args.pair[1])
             row = verlinde.fusion_coefficients(rs, args.level, a, b, args.grid)
-            triples = [(_weight_label(a), _weight_label(b), _weight_label(c), n)
-                       for c, n in row.items() if n]
-            max_residual = None
+            weights, max_residual = list(row), None
         else:
             table = verlinde.fusion_table(rs, args.level, args.grid)
-            labels = [_weight_label(lam) for lam in table.weights]
-            triples = [(labels[a], labels[b], labels[c], n)
-                       for a, slab in enumerate(table.dense)
-                       for b, row in enumerate(slab) for c, n in enumerate(row) if n]
-            max_residual = table.max_residual
+            weights, max_residual = table.weights, table.max_residual
     except verlinde.InconsistentInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    triples.sort()
+    labels = [_weight_label(lam) for lam in weights]
+    order = sorted(range(len(labels)), key=labels.__getitem__)  # labels are distinct
+    # (a, b, N_ab^* by position in weights) in label order
+    slabs = ([(_weight_label(a), _weight_label(b), list(row.values()))] if args.pair else
+             [(labels[a], labels[b], table.dense[a][b]) for a in order for b in order])
     payload = {"schema": "alcove/fusion/v1", "system": f"{args.series}{args.rank}",
                "level": args.level,
-               "triples": [{"a": a, "b": b, "c": c, "n": n} for a, b, c, n in triples]}
+               "triples": ({"a": a, "b": b, "c": labels[c], "n": ns[c]}
+                           for a, b, ns in slabs for c in order if ns[c])}
     if max_residual is not None:
         payload["max_rounding_residual"] = max_residual
 
     def csv_rows():
         """Dense slabs: one (a, b) row with a column per channel c."""
-        channels = [_weight_label(c) for c in verlinde.dominant_weights(rs, args.level).weights]
-        dense = {(a, b): {} for a, b, _, _ in triples}
-        for a, b, c, n in triples:
-            dense[(a, b)][c] = n
-        yield ["a", "b"] + channels
-        for (a, b) in sorted(dense):
-            yield [a, b] + [dense[(a, b)].get(c, 0) for c in channels]
+        yield ["a", "b"] + labels
+        for a, b, ns in slabs:
+            yield [a, b] + ns
     _emit(args.fmt, args.out, payload, csv_rows)
     return EXIT_OK
 

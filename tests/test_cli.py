@@ -1,6 +1,8 @@
+import io
 import json
 import subprocess
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -156,8 +158,9 @@ def test_negative_tolerance_rejected(capsys):
     ["roots", "--series", "A", "--rank", "1", "--level", "-1"],
     ["grid", "--series", "A", "--rank", "1", "--level", "-1"],
     ["roots", "--series", "A", "--rank", "1", "--out", "/nonexistent/x.json"],
+    ["roots", "--series", "E", "--rank", "7", "--elements"],
 ], ids=["point-1/0", "weight-x", "weight-negative", "pair-above-level", "grid-E8-cap",
-        "roots-level-negative", "grid-level-negative", "out-unwritable"])
+        "roots-level-negative", "grid-level-negative", "out-unwritable", "roots-E7-elements"])
 def test_bad_input_exits_2_with_one_line_error(capsys, args):
     code, out, err = run(capsys, *args)
     assert code == 2
@@ -227,11 +230,14 @@ def test_fusion_csv_has_one_row_per_pair(capsys, monkeypatch):
     assert code == 0 and header[:2] == ["a", "b"] and len(rows) == len(header[2:]) ** 2
     assert {(a, b, c): int(n) for a, b, *ns in rows for c, n in zip(header[2:], ns)
             if n != "0"} == triples
-    # JSON output builds no CSV rows, which are the only reader of dominant_weights
+    # neither form lists the weights again: the CSV channels are the table's weights
     monkeypatch.setattr(verlinde, "dominant_weights", None)
+    csv = out
     code, out, _ = run(capsys, "fusion", "--series", "A", "--rank", "2", "--level", "2")
     assert code == 0 and {(t["a"], t["b"], t["c"]): t["n"]
                           for t in json.loads(out)["triples"]} == triples
+    assert run(capsys, "fusion", "--series", "A", "--rank", "2", "--level", "2",
+               "--format", "csv") == (0, csv, "")
 
 
 def test_inconsistent_fusion_exits_3(capsys, monkeypatch):
@@ -377,6 +383,30 @@ def test_writer_edge_cases():
                   {"a": 1j}]:
         with pytest.raises(TypeError):
             cli._to_json(value)
+        for payload in [{"k": value}, {"k": iter([value])}]:  # the streamed writer too
+            with pytest.raises(TypeError):
+                "".join(cli._json_pieces(payload))
+    with pytest.raises(TypeError):
+        "".join(cli._json_pieces({"a": 1, 2: "b"}))
+    for payload in [{}, {"a": []}, {"a": [], "b": [1, "x"], "c": {}, "d": [[]]}]:
+        streamed = _as_iterators(payload, lambda key: True)
+        assert "".join(cli._json_pieces(streamed)) == cli._to_json(payload) + "\n"
+
+
+def _as_iterators(payload: dict, pick) -> dict:
+    """payload with each list value that pick(key) chooses passed as an iterator."""
+    return {key: iter(value) if isinstance(value, list) and pick(key) else value
+            for key, value in payload.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), json_values, max_size=6), st.data())
+def test_streamed_pieces_join_to_the_whole_text(payload, data):
+    whole = cli._to_json(payload) + "\n"
+    assert "".join(cli._json_pieces(payload)) == whole
+    assert "".join(cli._json_pieces(_as_iterators(payload, lambda key: True))) == whole
+    mixed = _as_iterators(payload, lambda key: data.draw(st.booleans()))
+    assert "".join(cli._json_pieces(mixed)) == whole
 
 
 @pytest.mark.parametrize("args", [
@@ -391,14 +421,43 @@ def test_writer_edge_cases():
 ], ids=["roots", "faces", "char", "grid", "grid-full", "fusion", "fusion-pair", "verify"])
 def test_every_payload_is_written_as_json_dumps_writes_it(capsys, monkeypatch, args):
     payloads = []
-    writer = cli._to_json
+    emit = cli._emit
 
-    def recording(o, *rest):
-        if not rest:
-            payloads.append(o)
-        return writer(o, *rest)
+    def recording(fmt, out, payload, *rest):
+        streamed = {key for key, value in payload.items() if isinstance(value, Iterator)}
+        payload = {key: list(value) if key in streamed else value
+                   for key, value in payload.items()}
+        payloads.append(payload)
+        emit(fmt, out, _as_iterators(payload, streamed.__contains__), *rest)
 
-    monkeypatch.setattr(cli, "_to_json", recording)
+    monkeypatch.setattr(cli, "_emit", recording)
     code, out, _ = run(capsys, *args)
     assert code == 0 and len(payloads) == 1
     assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
+
+
+class _Writes(io.StringIO):
+    """A text stream that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("args", [
+    ["roots", "--series", "F", "--rank", "4", "--elements"],
+    ["fusion", "--series", "A", "--rank", "2", "--level", "6"],
+], ids=["roots-F4-elements", "fusion-A2-k6"])
+def test_large_artifacts_are_written_in_bounded_pieces(monkeypatch, tmp_path, args):
+    stdout = _Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(args) == 0
+    text = stdout.getvalue()
+    assert len(text) > 200_000 and max(stdout.sizes) <= 4096
+    path = tmp_path / "out.json"
+    assert cli.main(args + ["--out", str(path)]) == 0
+    assert path.read_bytes() == text.encode()
