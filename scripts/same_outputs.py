@@ -47,6 +47,17 @@ DEFAULT_JOBS = (
     # the --pair CSV slab and a large streamed table (2.8 MB of triples)
     "fusion --series A --rank 2 --level 3 --pair 1,0 0,1 --format csv",
     "fusion --series A --rank 2 --level 10",
+    # every face row (rho_mu included), and rank-3 face stabilizers through verify
+    # (A3 k=2 and C3 k=1 exit 1 on fundamental_formula's float tolerance)
+    "faces --series A --rank 3",
+    "faces --series B --rank 3",
+    "faces --series C --rank 3",
+    "faces --series D --rank 4",
+    "faces --series G --rank 2",
+    "faces --series F --rank 4",
+    "faces --series E --rank 6",
+    "verify --series A --rank 3 --level 2",
+    "verify --series C --rank 3 --level 1",
 )
 
 

@@ -1,10 +1,10 @@
 """Stabilizer data attached to points of the closed level-1 alcove.
 
 For a face point mu this records the vanishing simple roots, the realized
-simple system of the stabilizing subgroup (the wall reflection contributes
--theta when mu sits on the affine wall), its fundamental weights and their sum
-rho_mu obtained by exact orthogonal projection, and the toric isotropy data
-(n, epsilon^v, |T'_z/T_z|).
+simple system of the stabilizer W_mu (-theta first when mu sits on the affine
+wall), its fundamental weights and their sum rho_mu, read off the inverse of
+the realized Cartan matrix, and the toric isotropy data (n, epsilon^v,
+|T'_z/T_z|).
 """
 
 from __future__ import annotations
@@ -13,10 +13,14 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 
 from . import intlinalg, weyl
 from .rootdata import RootSystem, TorusPoint, Weight, _positive_root_closure, inner
 from .weyl import AffineWeylElement, WeylElement
+
+# 2^9 - 1 faces admits rank <= 8 (E8 included); the cost grows about 10x every two ranks
+_FACE_CAP = 2 ** 9 - 1
 
 
 class DomainError(ValueError):
@@ -44,21 +48,17 @@ class RhoShift(namedtuple("RhoShift", [
     __slots__ = ()
 
 
-def _orthogonal_projector(rs: RootSystem, span: list[Weight]):
-    """Exact projection onto the rational span of the given weights."""
-    m = len(span)
-    gram = [[inner(rs, span[i], span[j]) for j in range(m)] for i in range(m)]
-    gram_inv = intlinalg.mat_inverse(gram)
+@lru_cache(maxsize=None)
+def _realized_cartan(rs: RootSystem, gammas: tuple[Weight, ...]) -> tuple[tuple[int, ...], ...]:
+    """cartan[i][j] = 2(gamma_i|gamma_j)/(gamma_i|gamma_i), integral for a simple system."""
+    cartan = [[2 * inner(rs, gi, gj) / inner(rs, gi, gi) for gj in gammas] for gi in gammas]
+    assert all(x.denominator == 1 for row in cartan for x in row)
+    return tuple(tuple(int(x) for x in row) for row in cartan)
 
-    def proj(v: Weight) -> Weight:
-        b = [inner(rs, span[i], v) for i in range(m)]
-        c = intlinalg.mat_vec(gram_inv, b)
-        out = rs.zero_weight()
-        for ci, gi in zip(c, span):
-            out = out + gi.scale(ci)
-        return out
 
-    return proj
+def _combination(rs: RootSystem, coeffs, gammas: tuple[Weight, ...]) -> Weight:
+    """sum_k coeffs[k] * gammas[k]."""
+    return sum((g.scale(c) for c, g in zip(coeffs, gammas)), rs.zero_weight())
 
 
 def face_data(rs: RootSystem, mu: TorusPoint) -> FaceData:
@@ -69,30 +69,13 @@ def face_data(rs: RootSystem, mu: TorusPoint) -> FaceData:
     delta0 = tuple(i for i in range(rs.rank) if mu.mu_star.coords[i] == 0)
     on_wall = cert[rs.rank] == 0
 
-    realized: list[Weight] = []
-    labels: list[str] = []
-    if on_wall:
-        realized.append(-rs.highest_root)
-        labels.append("affine")
-    for i in delta0:
-        realized.append(rs.simple_root(i))
-        labels.append(f"alpha_{i}")
+    realized = ((-rs.highest_root,) if on_wall else ()) + tuple(rs.simple_root(i) for i in delta0)
+    labels = (("affine",) if on_wall else ()) + tuple(f"alpha_{i}" for i in delta0)
 
-    if realized:
-        proj = _orthogonal_projector(rs, realized)
-        fund: list[Weight] = []
-        if on_wall:
-            fund.append(proj(-mu.mu_star))
-            for i in delta0:
-                fund.append(proj(rs.fundamental_weight(i) - mu.mu_star.scale(rs.comarks[i])))
-        else:
-            for i in delta0:
-                fund.append(proj(rs.fundamental_weight(i)))
-    else:
-        fund = []
-    rho_mu = rs.zero_weight()
-    for f in fund:
-        rho_mu = rho_mu + f
+    # <lambda_i, gamma_j^v> = (c . cartan^T)_ij for lambda_i = sum_k c_ik gamma_k
+    coeffs = intlinalg.mat_inverse([list(col) for col in zip(*_realized_cartan(rs, realized))])
+    fund = tuple(_combination(rs, row, realized) for row in coeffs)
+    rho_mu = sum(fund, rs.zero_weight())
 
     # duality: the constructed weights must pair delta_ij against the realized coroots
     for i, f in enumerate(fund):
@@ -102,18 +85,12 @@ def face_data(rs: RootSystem, mu: TorusPoint) -> FaceData:
                 raise AssertionError("fundamental-weight duality failed at construction")
 
     outside = [i for i in range(rs.rank) if i not in delta0]
-    n = intlinalg.content(rs.comarks[i] for i in outside)
-    n = n if n > 0 else 1
+    n = intlinalg.content(rs.comarks[i] for i in outside) or 1
     eps = tuple(Fraction(rs.comarks[i], n) if i in outside else Fraction(0)
                 for i in range(rs.rank))
-    order = 1
-    for i in delta0:
-        order *= rs.comarks[i]
-    if on_wall:
-        order *= n
+    order = prod(rs.comarks[i] for i in delta0) * (n if on_wall else 1)
 
-    return FaceData(mu, on_wall, delta0, tuple(realized), tuple(labels),
-                    tuple(fund), rho_mu, n, eps, order)
+    return FaceData(mu, on_wall, delta0, realized, labels, fund, rho_mu, n, eps, order)
 
 
 def enumerate_faces(rs: RootSystem) -> list[tuple[frozenset, FaceData]]:
@@ -121,8 +98,12 @@ def enumerate_faces(rs: RootSystem) -> list[tuple[frozenset, FaceData]]:
 
     Walls are named 0..rank-1 (simple-root walls) and "affine"; every proper
     subset of walls cuts out a nonempty face of the simplex, represented here
-    by the barycenter of its vertices.
+    by the barycenter of its vertices.  Raises weyl.ResourceError before
+    building any face when the 2^(rank+1) - 1 faces exceed the cap.
     """
+    count = 2 ** (rs.rank + 1) - 1
+    if count > _FACE_CAP:
+        raise weyl.ResourceError(f"alcove with {count} faces exceeds cap {_FACE_CAP}")
     vertices: dict = {"origin": rs.zero_weight()}
     for i in range(rs.rank):
         vertices[i] = rs.fundamental_weight(i).scale(Fraction(1, rs.comarks[i]))
@@ -134,50 +115,51 @@ def enumerate_faces(rs: RootSystem) -> list[tuple[frozenset, FaceData]]:
             verts = [vertices[i] for i in range(rs.rank) if i not in s]
             if "affine" not in s:
                 verts.append(vertices["origin"])
-            bary = rs.zero_weight()
-            for v in verts:
-                bary = bary + v
-            bary = bary.scale(Fraction(1, len(verts)))
+            bary = sum(verts, rs.zero_weight()).scale(Fraction(1, len(verts)))
             out.append((s, face_data(rs, TorusPoint(bary))))
     return out
 
 
 # -- stabilizer subgroup and the rho-shift laws --------------------------------
 
-def stabilizer_generators(rs: RootSystem, fd: FaceData) -> list[tuple[str, WeylElement, AffineWeylElement]]:
-    """Generator pairs (label, finite counterpart, affine element).
+def _lift(rs: RootSystem, fd: FaceData, w: WeylElement) -> AffineWeylElement:
+    """(w, nu^-1(mu - w mu)): the unique affine element over w that fixes mu at level 1."""
+    shift = fd.mu.mu_star - weyl.act(w, fd.mu.mu_star)
+    translation = intlinalg.mat_vec(rs.gram_weights, shift.coords)  # nu^-1, in coroot coordinates
+    assert intlinalg.is_integral(translation)
+    return AffineWeylElement(w, tuple(int(t) for t in translation))
 
-    The affine-wall generator pairs the reflection through (theta|x) = k with
-    the plain reflection s_theta; all other generators are shared.
+
+def stabilizer_generators(rs: RootSystem, fd: FaceData) -> list[tuple[str, WeylElement, AffineWeylElement]]:
+    """Generator triples (label, s_gamma, its lift), one per realized simple root gamma.
+
+    The lift of w is (w, nu^-1(mu - w mu)), with the translation in simple-coroot
+    coordinates: the plain reflection for alpha_i, and for the wall root -theta
+    (s_{-theta} = s_theta) the reflection through (theta|x) = 1.
     """
-    out = []
-    for label, gamma in zip(fd.labels, fd.realized_simple_roots):
-        if label == "affine":
-            fin = weyl.reflection_in_root(rs, rs.highest_root)
-            out.append((label, fin, weyl.affine_reflection_theta(rs)))
-        else:
-            fin = weyl.reflection_in_root(rs, gamma)
-            out.append((label, fin, weyl.affine_from_finite(fin, rs.rank)))
-    return out
+    gens = [weyl.reflection_in_root(rs, gamma) for gamma in fd.realized_simple_roots]
+    return [(label, w, _lift(rs, fd, w)) for label, w in zip(fd.labels, gens)]
 
 
 @lru_cache(maxsize=None)
 def stabilizer_subgroup(rs: RootSystem, fd: FaceData) -> tuple[tuple[WeylElement, AffineWeylElement], ...]:
-    """Close the generator pairs under multiplication (finite copy of W_mu, cached)."""
-    gens = [(fin, aff) for _, fin, aff in stabilizer_generators(rs, fd)]
-    ident = (weyl.identity_element(rs), weyl.identity_affine(rs))
-    seen = {ident[0].action: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for fin, aff in frontier:
-            for gf, ga in gens:
-                cand = (gf * fin, ga * aff)
-                if cand[0].action not in seen:
-                    seen[cand[0].action] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    return tuple(sorted(seen.values(), key=lambda p: (len(p[0].word), p[0].word)))
+    """W_mu as pairs (w, lift of w), sorted by word length then word (cached).
+
+    The finite reflections s_gamma are closed under left multiplication, and
+    each element w is lifted to (w, nu^-1(mu - w mu)), the unique affine
+    element over w that fixes mu at level 1.
+    """
+    gens = [w for _, w, _ in stabilizer_generators(rs, fd)]
+    group = [weyl.identity_element(rs)]
+    seen = {group[0].action}
+    for w in group:  # a queue that grows while it is walked: breadth-first
+        for g in gens:
+            u = g * w
+            if u.action not in seen:
+                seen.add(u.action)
+                group.append(u)
+    group.sort(key=lambda w: (len(w.word), w.word))
+    return tuple((w, _lift(rs, fd, w)) for w in group)
 
 
 def rho_shift(rs: RootSystem, fd: FaceData, w: WeylElement) -> RhoShift:
@@ -187,13 +169,8 @@ def rho_shift(rs: RootSystem, fd: FaceData, w: WeylElement) -> RhoShift:
     face's realized simple roots.  Off the wall the two shifts agree exactly;
     for the wall generator the discrepancy is exactly h^v * theta.
     """
-    if w.is_identity:
-        z = rs.zero_weight()
-        return RhoShift(z, z, z)
-    for gamma in fd.realized_simple_roots:
-        if weyl.reflection_in_root(rs, gamma).action == w.action:
-            break
-    else:
+    reflections = [weyl.reflection_in_root(rs, gamma).action for gamma in fd.realized_simple_roots]
+    if not w.is_identity and w.action not in reflections:
         raise DomainError("not a generator of the face stabilizer")
     d_sub = weyl.act(w, fd.rho_mu) - fd.rho_mu
     d_full = weyl.act(w, rs.rho) - rs.rho
@@ -231,17 +208,5 @@ def lattice_phase_check(rs: RootSystem, fd: FaceData, k: int, t, require_lattice
 def sub_positive_roots(rs: RootSystem, fd: FaceData) -> tuple[Weight, ...]:
     """Positive roots of the sub-root-system generated by the realized simple roots (cached)."""
     gammas = fd.realized_simple_roots
-    m = len(gammas)
-    if m == 0:
-        return ()
-    cartan = [[2 * inner(rs, gammas[i], gammas[j]) / inner(rs, gammas[i], gammas[i])
-               for j in range(m)] for i in range(m)]
-    assert all(x.denominator == 1 for row in cartan for x in row)
-    cartan = [[int(x) for x in row] for row in cartan]
-    out = []
-    for coeffs in _positive_root_closure(cartan):
-        v = rs.zero_weight()
-        for c, g in zip(coeffs, gammas):
-            v = v + g.scale(c)
-        out.append(v)
-    return tuple(out)
+    return tuple(_combination(rs, coeffs, gammas)
+                 for coeffs in _positive_root_closure(_realized_cartan(rs, gammas)))

@@ -159,8 +159,10 @@ def test_negative_tolerance_rejected(capsys):
     ["grid", "--series", "A", "--rank", "1", "--level", "-1"],
     ["roots", "--series", "A", "--rank", "1", "--out", "/nonexistent/x.json"],
     ["roots", "--series", "E", "--rank", "7", "--elements"],
+    ["faces", "--series", "A", "--rank", "10"],
 ], ids=["point-1/0", "weight-x", "weight-negative", "pair-above-level", "grid-E8-cap",
-        "roots-level-negative", "grid-level-negative", "out-unwritable", "roots-E7-elements"])
+        "roots-level-negative", "grid-level-negative", "out-unwritable", "roots-E7-elements",
+        "faces-A10-cap"])
 def test_bad_input_exits_2_with_one_line_error(capsys, args):
     code, out, err = run(capsys, *args)
     assert code == 2

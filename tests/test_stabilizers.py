@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from alcove import rootdata, stabilizers, weyl
+from alcove import intlinalg, rootdata, stabilizers, weyl
 from alcove.rootdata import TorusPoint, from_name, inner
 from alcove.stabilizers import DomainError, enumerate_faces, face_data
 
@@ -173,15 +173,62 @@ def test_a_series_has_trivial_n(name):
 
 
 def test_stabilizer_subgroup_is_closed_and_paired():
-    rs = from_name("B2")
-    mu = TorusPoint(rs.fundamental_weight(0))  # on the affine wall
-    fd = face_data(rs, mu)
-    assert fd.on_affine_wall
-    pairs = stabilizers.stabilizer_subgroup(rs, fd)
-    # each affine part must factor through its finite part with translation in M
-    for fin, aff in pairs:
-        v = weyl.factor_affine(rs, aff, fin)
-        assert rs.in_lattice_M(v)
-    # the affine copies fix the face point at level 1
-    for fin, aff in pairs:
-        assert weyl.affine_act(rs, aff, fd.mu, 1) == fd.mu
+    for rs in map(from_name, FACE_SYSTEMS):
+        for _, fd in enumerate_faces(rs):
+            pairs = stabilizers.stabilizer_subgroup(rs, fd)
+            for fin, aff in pairs:
+                # each lift fixes the face point at level 1 ...
+                assert weyl.affine_act(rs, aff, fd.mu, 1) == fd.mu
+                # ... and factors through its finite part with translation in M
+                assert rs.in_lattice_M(weyl.factor_affine(rs, aff, fin))
+            # the affine parts hold the identity and are closed under left
+            # multiplication by the generators' lifts, so they are the group those generate
+            keys = {(aff.finite.action, aff.translation) for _, aff in pairs}
+            assert len(keys) == len(pairs) and pairs[0][1].is_identity
+            for label, fin, gen in stabilizers.stabilizer_generators(rs, fd):
+                for _, aff in pairs:
+                    product = gen * aff
+                    assert (product.finite.action, product.translation) in keys
+                if label == "affine":
+                    assert gen == weyl.affine_reflection_theta(rs)
+                else:
+                    assert gen == weyl.affine_from_finite(fin, rs.rank)
+
+
+def reference_fund_weights(rs, fd):
+    """Fundamental weights of W_mu by exact orthogonal projection onto the realized roots.
+
+    On the wall -mu pairs to 1 with (-theta)^v and Lambda_i - a_i^v mu pairs to
+    delta_ij with the realized coroots; off it Lambda_i does.  Projection keeps
+    those pairings, so the projected vectors are the fundamental weights.
+    """
+    span = fd.realized_simple_roots
+    if not span:
+        return ()
+    gram_inv = intlinalg.mat_inverse([[inner(rs, a, b) for b in span] for a in span])
+
+    def proj(v):
+        c = intlinalg.mat_vec(gram_inv, [inner(rs, g, v) for g in span])
+        out = rs.zero_weight()
+        for ci, gi in zip(c, span):
+            out = out + gi.scale(ci)
+        return out
+
+    mu = fd.mu.mu_star
+    if fd.on_affine_wall:
+        targets = [-mu] + [rs.fundamental_weight(i) - mu.scale(rs.comarks[i]) for i in fd.delta0]
+    else:
+        targets = [rs.fundamental_weight(i) for i in fd.delta0]
+    return tuple(proj(v) for v in targets)
+
+
+@pytest.mark.parametrize("name", FACE_SYSTEMS + ["F4"])
+def test_fundamental_weights_equal_orthogonal_projection(name):
+    rs = from_name(name)
+    for _, fd in enumerate_faces(rs):
+        expected = reference_fund_weights(rs, fd)
+        assert fd.fund_weights_mu == expected
+        rho_mu = rs.zero_weight()
+        for f in expected:
+            rho_mu = rho_mu + f
+        assert fd.rho_mu == rho_mu
