@@ -56,6 +56,10 @@ DEFAULT_JOBS = (
     "faces --series G --rank 2",
     "faces --series F --rank 4",
     "faces --series E --rank 6",
+    "faces --series C --rank 5",
+    "faces --series D --rank 5",
+    # 2^10 - 1 faces: refused with exit 2 before any face is built
+    "faces --series A --rank 9",
     "verify --series A --rank 3 --level 2",
     "verify --series C --rank 3 --level 1",
 )

@@ -243,8 +243,8 @@ def cmd_fusion(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.tolerance is not None and args.tolerance <= 0:
-        raise ConfigurationError("tolerance must be positive")
+    if args.tolerance is not None and not (args.tolerance > 0 and isfinite(args.tolerance)):
+        raise ConfigurationError("tolerance must be positive and finite")
     if args.samples <= 0:
         raise ConfigurationError("samples must be positive")
     if (args.series is None) != (args.rank is None):

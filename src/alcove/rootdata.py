@@ -217,7 +217,7 @@ class RootSystem:
         return self.weight_from_coords([0] * self.rank)
 
     def simple_root(self, i: int) -> Weight:
-        return self.weight_from_root_coords([int(i == j) for j in range(self.rank)])
+        return self.weight_from_coords(row[i] for row in self.cartan)  # <alpha_i, alpha_k^v>
 
     def fundamental_weight(self, i: int) -> Weight:
         return self.weight_from_coords([int(i == j) for j in range(self.rank)])

@@ -1,10 +1,11 @@
 """Stabilizer data attached to points of the closed level-1 alcove.
 
 For a face point mu this records the vanishing simple roots, the realized
-simple system of the stabilizer W_mu (-theta first when mu sits on the affine
-wall), its fundamental weights and their sum rho_mu, read off the inverse of
-the realized Cartan matrix, and the toric isotropy data (n, epsilon^v,
-|T'_z/T_z|).
+simple system of the stabilizer W_mu (-theta first on the affine wall), its
+fundamental weights and their sum rho_mu, read off the inverse of the realized
+Cartan matrix, and the toric isotropy data (n, epsilon^v, |T'_z/T_z|).  That
+matrix is read off the affine Cartan data, with no bilinear form:
+<lam, alpha_i^v> = lam_i and <lam, theta^v> = sum_i comark_i lam_i.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from itertools import combinations
 from math import prod
 
 from . import intlinalg, weyl
-from .rootdata import RootSystem, TorusPoint, Weight, _positive_root_closure, inner
+from .rootdata import RootSystem, TorusPoint, Weight, _positive_root_closure
 from .weyl import AffineWeylElement, WeylElement
 
-# 2^9 - 1 faces admits rank <= 8 (E8 included); the cost grows about 10x every two ranks
+# 2^9 - 1 faces admits rank <= 8.  `faces` process wall time on a Xeon, Python 3.11 (s):
+# A6 0.4, A7 0.7, A8 1.2, B8 1.1, C8 1.2, D8 1.4, E8 1.5; under 2x per added rank
 _FACE_CAP = 2 ** 9 - 1
 
 
@@ -48,12 +50,11 @@ class RhoShift(namedtuple("RhoShift", [
     __slots__ = ()
 
 
-@lru_cache(maxsize=None)
-def _realized_cartan(rs: RootSystem, gammas: tuple[Weight, ...]) -> tuple[tuple[int, ...], ...]:
-    """cartan[i][j] = 2(gamma_i|gamma_j)/(gamma_i|gamma_i), integral for a simple system."""
-    cartan = [[2 * inner(rs, gi, gj) / inner(rs, gi, gi) for gj in gammas] for gi in gammas]
-    assert all(x.denominator == 1 for row in cartan for x in row)
-    return tuple(tuple(int(x) for x in row) for row in cartan)
+def _coroot_pairing(rs: RootSystem, lam: Weight, node: int) -> Fraction:
+    """<lam, gamma^v> for the realized node gamma: alpha_node, or -theta at node -1."""
+    if node == -1:
+        return -sum(c * x for c, x in zip(rs.comarks, lam.coords))
+    return lam.coords[node]
 
 
 def _combination(rs: RootSystem, coeffs, gammas: tuple[Weight, ...]) -> Weight:
@@ -69,19 +70,19 @@ def face_data(rs: RootSystem, mu: TorusPoint) -> FaceData:
     delta0 = tuple(i for i in range(rs.rank) if mu.mu_star.coords[i] == 0)
     on_wall = cert[rs.rank] == 0
 
-    realized = ((-rs.highest_root,) if on_wall else ()) + tuple(rs.simple_root(i) for i in delta0)
-    labels = (("affine",) if on_wall else ()) + tuple(f"alpha_{i}" for i in delta0)
+    nodes = ((-1,) if on_wall else ()) + delta0  # -1 is the wall root -theta
+    realized = tuple(-rs.highest_root if i == -1 else rs.simple_root(i) for i in nodes)
+    labels = tuple("affine" if i == -1 else f"alpha_{i}" for i in nodes)
 
-    # <lambda_i, gamma_j^v> = (c . cartan^T)_ij for lambda_i = sum_k c_ik gamma_k
-    coeffs = intlinalg.mat_inverse([list(col) for col in zip(*_realized_cartan(rs, realized))])
+    # lambda_i = sum_k c_ik gamma_k, c = (cartan^T)^-1, cartan^T[k][j] = <gamma_k, gamma_j^v>
+    coeffs = intlinalg.mat_inverse([[_coroot_pairing(rs, g, j) for j in nodes] for g in realized])
     fund = tuple(_combination(rs, row, realized) for row in coeffs)
     rho_mu = sum(fund, rs.zero_weight())
 
     # duality: the constructed weights must pair delta_ij against the realized coroots
     for i, f in enumerate(fund):
-        for j, gamma in enumerate(realized):
-            pairing = 2 * inner(rs, f, gamma) / inner(rs, gamma, gamma)
-            if pairing != (1 if i == j else 0):
+        for j, node in enumerate(nodes):
+            if _coroot_pairing(rs, f, node) != (1 if i == j else 0):
                 raise AssertionError("fundamental-weight duality failed at construction")
 
     outside = [i for i in range(rs.rank) if i not in delta0]
@@ -104,18 +105,15 @@ def enumerate_faces(rs: RootSystem) -> list[tuple[frozenset, FaceData]]:
     count = 2 ** (rs.rank + 1) - 1
     if count > _FACE_CAP:
         raise weyl.ResourceError(f"alcove with {count} faces exceeds cap {_FACE_CAP}")
-    vertices: dict = {"origin": rs.zero_weight()}
-    for i in range(rs.rank):
-        vertices[i] = rs.fundamental_weight(i).scale(Fraction(1, rs.comarks[i]))
+    vertices = [rs.fundamental_weight(i).scale(Fraction(1, a)) for i, a in enumerate(rs.comarks)]
     walls: list = list(range(rs.rank)) + ["affine"]
     out = []
     for size in range(len(walls)):
         for subset in combinations(walls, size):
             s = frozenset(subset)
             verts = [vertices[i] for i in range(rs.rank) if i not in s]
-            if "affine" not in s:
-                verts.append(vertices["origin"])
-            bary = sum(verts, rs.zero_weight()).scale(Fraction(1, len(verts)))
+            n = len(verts) + ("affine" not in s)  # plus the origin, a zero vertex, off the wall
+            bary = sum(verts, rs.zero_weight()).scale(Fraction(1, n))
             out.append((s, face_data(rs, TorusPoint(bary))))
     return out
 
@@ -208,5 +206,6 @@ def lattice_phase_check(rs: RootSystem, fd: FaceData, k: int, t, require_lattice
 def sub_positive_roots(rs: RootSystem, fd: FaceData) -> tuple[Weight, ...]:
     """Positive roots of the sub-root-system generated by the realized simple roots (cached)."""
     gammas = fd.realized_simple_roots
-    return tuple(_combination(rs, coeffs, gammas)
-                 for coeffs in _positive_root_closure(_realized_cartan(rs, gammas)))
+    cartan = [[int(_coroot_pairing(rs, g, i)) for g in gammas]
+              for i in ((-1,) if fd.on_affine_wall else ()) + fd.delta0]
+    return tuple(_combination(rs, coeffs, gammas) for coeffs in _positive_root_closure(cartan))

@@ -98,9 +98,9 @@ def subset_identity_suite(rs: RootSystem, settings: Settings) -> list[IdentityRe
 
 
 def orthogonality_suite(rs: RootSystem, settings: Settings) -> list[IdentityReport]:
-    """One report per level k = 1 .. settings.level."""
+    """One report per level k = 1 .. settings.level, or one at k = 0 for level 0."""
     reports = []
-    for k in range(1, settings.level + 1):
+    for k in range(min(1, settings.level), settings.level + 1):
         lams, matrix = identities.orthogonality_matrix(rs, k, settings.grid_mode)
         worst = max(abs(matrix[a][b] - (1.0 if a == b else 0.0))
                     for a in range(len(lams)) for b in range(len(lams)))

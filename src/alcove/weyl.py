@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import islice
 
 from . import intlinalg
-from .rootdata import RootSystem, TorusPoint, Weight, inner
+from .rootdata import RootSystem, TorusPoint, Weight
 
 DEFAULT_GROUP_CAP = 10**6
 
@@ -284,9 +284,8 @@ def affine_act(rs: RootSystem, g: AffineWeylElement, x: TorusPoint, k: int) -> T
 
 
 def alcove_certificate(rs: RootSystem, k: int, x: TorusPoint) -> tuple[Fraction, ...]:
-    pairings = [x.mu_star.coords[i] for i in range(rs.rank)]  # <alpha_i^v, x>
-    pairings.append(Fraction(k) - inner(rs, rs.highest_root, x.mu_star))
-    return tuple(pairings)
+    coords = x.mu_star.coords  # <alpha_i^v, x>; (theta|x) = sum_i comark_i x_i
+    return tuple(coords) + (Fraction(k) - sum(a * c for a, c in zip(rs.comarks, coords)),)
 
 
 def find_alcove(rs: RootSystem, k: int, x: TorusPoint) -> tuple[AffineWeylElement, AlcovePoint]:

@@ -144,9 +144,11 @@ def test_verify_needs_both_series_and_rank(capsys):
     assert code == 2
 
 
-def test_negative_tolerance_rejected(capsys):
-    code, _, err = run(capsys, "verify", "--tolerance", "-1")
-    assert code == 2
+@pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf"])
+def test_negative_tolerance_rejected(capsys, tolerance):
+    code, out, err = run(capsys, "verify", "--tolerance", tolerance)
+    assert code == 2 and out == ""
+    assert err == "error: tolerance must be positive and finite\n"
 
 
 @pytest.mark.parametrize("args", [
@@ -271,6 +273,19 @@ def test_verify_reports_suites_in_registry_order(capsys):
         "rho_shift", "lattice_phase", "multiplicity_inversion", "fusion",
         "character_consistency", "regularity", "levelshift"]
     assert [r["detail"]["k"] for r in reports if r["name"] == "orthogonality"] == [1, 2]
+
+
+def test_verify_level_zero_runs_every_suite(capsys):
+    """Level 0 keeps the level-1 suite list: orthogonality reports the 1x1 table at k = 0."""
+    reports = {}
+    for level in ("0", "1"):
+        code, out, _ = run(capsys, "verify", "--series", "A", "--rank", "1",
+                           "--samples", "3", "--level", level)
+        assert code == 0
+        reports[level] = json.loads(out)["reports"]
+    assert [r["name"] for r in reports["0"]] == [r["name"] for r in reports["1"]]
+    (ortho,) = [r for r in reports["0"] if r["name"] == "orthogonality"]
+    assert ortho["detail"]["k"] == 0 and ortho["samples"] == 1 and ortho["passed"]
 
 
 def test_library_run_matches_cli_reports(capsys):

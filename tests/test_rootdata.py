@@ -188,6 +188,16 @@ def test_inner_bilinear_symmetric(u, v):
     assert inner(rs, a, a) >= 0
 
 
+@pytest.mark.parametrize("name", [f"{series}{rank}" for series, ok in rootdata.SERIES_RANKS.items()
+                                  for rank in range(1, 9) if ok(rank)])
+def test_simple_roots_equal_root_coordinate_reference(name):
+    """simple_root(i), column i of the Cartan matrix, is the weight with root coordinates e_i."""
+    rs = from_name(name)
+    for i in range(rs.rank):
+        e_i = [int(i == j) for j in range(rs.rank)]
+        assert rs.simple_root(i) == rs.weight_from_root_coords(e_i)
+
+
 def test_weight_coordinate_roundtrip():
     rs = from_name("G2")
     for w in rs.positive_roots:

@@ -76,6 +76,18 @@ def test_duality_and_rho_mu(name):
         assert half == fd.rho_mu
 
 
+@pytest.mark.parametrize("name", FACE_SYSTEMS + ["F4", "E6"])
+def test_realized_cartan_equals_form_reference(name):
+    """The coordinate reads <gamma_j, gamma_i^v> equal 2(gamma_i|gamma_j)/(gamma_i|gamma_i)."""
+    rs = from_name(name)
+    for _, fd in enumerate_faces(rs):
+        gammas = fd.realized_simple_roots
+        nodes = ((-1,) if fd.on_affine_wall else ()) + fd.delta0
+        read = [[stabilizers._coroot_pairing(rs, gj, i) for gj in gammas] for i in nodes]
+        assert read == [[2 * inner(rs, gi, gj) / inner(rs, gi, gi) for gj in gammas]
+                        for gi in gammas]
+
+
 @pytest.mark.parametrize("name", FACE_SYSTEMS)
 def test_rho_shift_laws_exact(name):
     rs = from_name(name)

@@ -251,6 +251,18 @@ def test_find_alcove_lands_in_alcove_and_certifies(coords):
     assert ap.chamber_certificate == weyl.alcove_certificate(rs, 2, ap.point)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["A3", "B3", "C3", "G2", "F4"]), st.integers(0, 4),
+       st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=23),
+                min_size=4, max_size=4))
+def test_alcove_certificate_equals_form_reference(name, k, coords):
+    """The comark read k - sum_i comark_i x_i equals k - (theta|x) through the form."""
+    rs = from_name(name)
+    x = TorusPoint(rs.weight_from_coords(coords[:rs.rank]))
+    expected = x.mu_star.coords + (k - inner(rs, rs.highest_root, x.mu_star),)
+    assert weyl.alcove_certificate(rs, k, x) == expected
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=17),
                 min_size=2, max_size=2),
