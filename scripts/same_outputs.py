@@ -62,6 +62,12 @@ DEFAULT_JOBS = (
     "faces --series A --rank 9",
     "verify --series A --rank 3 --level 2",
     "verify --series C --rank 3 --level 1",
+    "verify --series B --rank 3 --level 1",
+    # one character at a regular point, at the identity and at a singular point (exit 2)
+    "char --series A --rank 2 --weight 1,1 --point 1/5,2/7",
+    "char --series A --rank 2 --weight 1,1 --point 0,0",
+    "char --series A --rank 2 --weight 1,1 --point 1,0",
+    "char --series G --rank 2 --weight 2,1 --point 1/7,2/11",
 )
 
 

@@ -4,23 +4,24 @@ Every exponential of an integral weight at a rational point is a root of
 unity, evaluated on an exact integer residue mod N, never on a float angle.
 With D the lcm of the denominators of gram_weights and G = D * gram_weights,
 a point x = y / m (y integral in fundamental-weight coordinates) has N = D * m
-and v = G y, so (a | x) = residue(a, v) / N; phase(r, N) = exp(2 pi i (r mod
-N) / N).  residues(rs, x) takes m = d_x, the lcm of the denominators of x; a
-level-k grid takes m = k + h^v at every point, so one N and one phase table
-serve it.  r / N is the same double for any such N: the correctly rounded
-reduced angle.  Characters sum sign(w) phase((w a) . v) over the signed orbit
-of a = lam + rho (weyl.orbit) in enumerate_weyl order; regularity and the Weyl
-denominator read the root residues.  The localization sum and the identities
-instead pull the point back, h_w = pullback(w, v) = w.action^T v, through each
-listed Weyl element: a path independent of the characters.  Every value is
-bitwise that of a Fraction evaluation (tests/test_chareval.py keeps one).
+and v = G y, so (a | x) = (a . v) / N for the integer row a of an integral
+weight; phase(r, N) = exp(2 pi i (r mod N) / N).  residues(rs, x) takes m = d_x,
+the lcm of the denominators of x; a level-k grid takes m = k + h^v at every
+point, so one N and one phase table serve it.  r / N is the same double for any
+such N: the correctly rounded reduced angle.  One per-point routine gives the
+Weyl denominator, regularity and the characters: sums of sign(w) phase((w a) . v)
+over the signed orbit of a = lam + rho.  Every Weyl sum walks weyl.orbit in
+enumerate_weyl order; the localization sum and the identities read h_w = w^T v
+off the orbits of the fundamental weights.  The independent references are the
+Fraction evaluations in tests/test_chareval.py, which every value equals
+bitwise, and reference_enumeration in tests/test_weyl.py.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import cache, lru_cache, partial, reduce
 from itertools import product, repeat
 from math import lcm
 from operator import add, mul
@@ -54,11 +55,27 @@ def residues(rs: RootSystem, x: TorusPoint) -> tuple[int, list[int]]:
     return d * dx, [sum(map(mul, row, scaled)) for row in gram]
 
 
-def residue(a: Weight, v) -> int:
-    """The integer a . v; e^a is a function on the torus only for integral a."""
-    if not a.is_integral:
+def integer_rows(weights) -> tuple[tuple[int, ...], ...]:
+    """The weights' coordinates as integers; e^a is a function on the torus only for integral a."""
+    if not all(a.is_integral for a in weights):
         raise ValueError("exponential of a non-integral weight at a torus point")
-    return sum(int(c) * vi for c, vi in zip(a.coords, v))
+    return tuple(tuple(map(int, a.coords)) for a in weights)
+
+
+@lru_cache(maxsize=None)
+def root_rows(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """The positive roots as integer rows."""
+    return integer_rows(rs.positive_roots)
+
+
+def row_residues(rows, v) -> list[int]:
+    """[a . v for each integer row a]: (a | x) = (a . v) / N at the point with residues (N, v)."""
+    return [sum(map(mul, a, v)) for a in rows]
+
+
+def residue(a: Weight, v) -> int:
+    """The integer a . v of one integral weight a."""
+    return sum(map(mul, *integer_rows([a]), v))
 
 
 def pullback(w: weyl.WeylElement, v) -> list[int]:
@@ -66,36 +83,34 @@ def pullback(w: weyl.WeylElement, v) -> list[int]:
     return [sum(row[j] * vi for row, vi in zip(w.action, v)) for j in range(len(v))]
 
 
+def weyl_pullbacks(rs: RootSystem, v) -> list[tuple[int, ...]]:
+    """pullback(w, v) for each w in enumerate_weyl order: entry j is (w Lambda_j) . v."""
+    units = [[int(i == j) for i in range(rs.rank)] for j in range(rs.rank)]
+    return list(zip(*([sum(map(mul, u, v)) for _, u in weyl.orbit(rs, e)] for e in units)))
+
+
 def phase(r: int, n: int) -> complex:
     """exp(2 pi i (r mod n) / n)."""
     return cmath.exp(2j * cmath.pi * ((r % n) / n))
 
 
-def denominator(roots, n: int, h) -> complex:
-    """prod over roots beta of (1 - e^{-beta}) at the point with residues (n, h)."""
+def denominator(root_residues, n: int) -> complex:
+    """prod over roots beta of (1 - e^{-beta}), from their residues r: (beta | x) = r / n."""
     out = 1 + 0j
-    for beta in roots:
-        out *= 1 - phase(-residue(beta, h), n)
+    for r in root_residues:
+        out *= 1 - phase(-r, n)
     return out
-
-
-def localization_term(rs: RootSystem, lam: Weight, n: int, h) -> complex:
-    """e^{w lam} / prod_{alpha > 0} (1 - e^{-w alpha}) at x, for h = pullback(w, v)."""
-    term = phase(residue(lam, h), n)
-    for alpha in rs.positive_roots:
-        term /= 1 - phase(-residue(alpha, h), n)
-    return term
 
 
 def weyl_denominator(rs: RootSystem, x: TorusPoint) -> complex:
     n, v = residues(rs, x)
-    return denominator(rs.positive_roots, n, v)
+    return denominator(row_residues(root_rows(rs), v), n)
 
 
 def is_regular(rs: RootSystem, x: TorusPoint) -> bool:
     """No root takes an integer value at x (exact: no root residue is 0 mod N)."""
     n, v = residues(rs, x)
-    return all(residue(alpha, v) % n for alpha in rs.positive_roots)
+    return all(r % n for r in row_residues(root_rows(rs), v))
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
@@ -105,7 +120,7 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     _, gram = _integer_gram(rs)
     shifted = [int(c) + 1 for c in lam.coords]
     num = den = 1
-    for beta in _root_rows(rs):
+    for beta in root_rows(rs):
         g = [sum(map(mul, row, beta)) for row in gram]  # D (Lambda_j | beta)
         num *= sum(map(mul, shifted, g))
         den *= sum(g)
@@ -113,19 +128,11 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     return num // den
 
 
-@lru_cache(maxsize=None)
-def _root_rows(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """The positive roots in integer fundamental-weight coordinates."""
-    return tuple(tuple(int(c) for c in beta.coords) for beta in rs.positive_roots)
-
-
 def _shifted_orbits(rs: RootSystem, lams) -> list:
     """(signs, coordinate columns) of the signed Weyl orbits of rho and of each lam + rho."""
-    out = []
-    for a in (rs.zero_weight(), *lams):
-        signs, images = zip(*weyl.orbit(rs, [int(c) + 1 for c in a.coords]))
-        out.append((signs, list(zip(*images))))
-    return out
+    orbits = (zip(*weyl.orbit(rs, [int(c) + 1 for c in a.coords]))
+              for a in (rs.zero_weight(), *lams))
+    return [(signs, list(zip(*images))) for signs, images in orbits]
 
 
 def _alternating_sum(orbit, n: int, v, phases) -> complex:
@@ -137,10 +144,25 @@ def _alternating_sum(orbit, n: int, v, phases) -> complex:
     return reduce(add, map(mul, signs, map(phases, map(n.__rmod__, r))), 0j)
 
 
-def _quotients(orbits, n: int, v, phases) -> list[complex]:
-    """Weyl character quotients at a regular point, the denominator summed once."""
-    base = _alternating_sum(orbits[0], n, v, phases)
-    return [_alternating_sum(orbit, n, v, phases) / base for orbit in orbits[1:]]
+def _point_columns(rs: RootSystem, lams, n: int):
+    """v -> (Weyl denominator, characters of lams) at the point with residues (n, v).
+
+    The identity gets the dimensions and any other singular point None; the
+    orbits are built at the first regular point, and one phase table serves all.
+    """
+    phases = lru_cache(maxsize=None)(partial(phase, n=n))  # each value computed once
+    orbits = cache(partial(_shifted_orbits, rs, lams))
+
+    def at(v) -> tuple[complex, list[complex | None]]:
+        roots = row_residues(root_rows(rs), v)
+        den = denominator(roots, n)
+        if not any(v):  # the identity
+            return den, [complex(weyl_dimension(rs, lam)) for lam in lams]
+        if not all(r % n for r in roots):
+            return den, [None] * len(lams)
+        base, *numerators = (_alternating_sum(orbit, n, v, phases) for orbit in orbits())
+        return den, [num / base for num in numerators]
+    return at
 
 
 def characters(rs: RootSystem, lams, x: TorusPoint) -> list[complex | None]:
@@ -151,46 +173,26 @@ def characters(rs: RootSystem, lams, x: TorusPoint) -> list[complex | None]:
     """
     if not all(lam.is_dominant and lam.is_integral for lam in lams):
         raise ValueError("highest weight must be dominant integral")
-    if x.is_zero:
-        return [complex(weyl_dimension(rs, lam)) for lam in lams]
-    if not is_regular(rs, x):
-        return [None] * len(lams)
     n, v = residues(rs, x)
-    phases = lru_cache(maxsize=None)(partial(phase, n=n))  # each value computed once
-    return _quotients(_shifted_orbits(rs, lams), n, v, phases)
+    return _point_columns(rs, lams, n)(v)[1]
 
 
 def grid_columns(rs: RootSystem, k: int, lams, mode: str = GRID_SHIFTED):
     """(label, point, Weyl denominator, characters of lams) at each point of the level-k grid.
 
     The point y / (k+h^v) has the residues N = D (k+h^v) and v = G y, so one
-    modulus, one phase table and one orbit per weight serve the whole grid;
-    regularity and the denominator read the same root residues as characters().
+    modulus, phase table and orbit per weight serve the grid, as in characters().
     """
     d, gram = _integer_gram(rs)
-    n = d * (k + rs.dual_coxeter)
-    phases = lru_cache(maxsize=None)(partial(phase, n=n))
-    orbits, roots = _shifted_orbits(rs, lams), _root_rows(rs)
+    at = _point_columns(rs, lams, d * (k + rs.dual_coxeter))
     for label, y, point in _grid(rs, k, mode):
-        v = [sum(map(mul, row, y)) for row in gram]
-        den, regular = 1 + 0j, True
-        for beta in roots:
-            r = sum(map(mul, beta, v))
-            regular = regular and r % n != 0
-            den *= 1 - phases(-r % n)
-        if not any(y):  # the identity
-            column = [complex(weyl_dimension(rs, lam)) for lam in lams]
-        else:
-            column = _quotients(orbits, n, v, phases) if regular else [None] * len(lams)
-        yield label, point, den, column
+        yield (label, point, *at([sum(map(mul, row, y)) for row in gram]))
 
 
 def character(rs: RootSystem, lam: Weight, x: TorusPoint) -> complex:
-    """Irreducible character with highest weight lam at x.
+    """Irreducible character with highest weight lam at x, as characters() gives it.
 
-    Regular x: alternating-sum quotient.  x = 0: dimension-formula fallback.
-    Any other non-regular point raises SingularPointError; callers are
-    expected to use shifted grid points, which are always regular.
+    Any singular point other than x = 0 raises SingularPointError.
     """
     value = characters(rs, [lam], x)[0]
     if value is None:
@@ -207,9 +209,13 @@ def localization_sum(rs: RootSystem, lam: Weight, x: TorusPoint) -> complex:
     if not is_regular(rs, x):
         raise SingularPointError("localization sum has poles at singular points")
     n, v = residues(rs, x)
+    (row,) = integer_rows([lam])
     total = 0j
-    for w in weyl.enumerate_weyl(rs):
-        total += localization_term(rs, lam, n, pullback(w, v))
+    for h in weyl_pullbacks(rs, v):
+        term = phase(sum(map(mul, row, h)), n)
+        for r in row_residues(root_rows(rs), h):
+            term /= 1 - phase(-r, n)
+        total += term
     return total
 
 

@@ -30,10 +30,6 @@ EXIT_CONFIG = 2
 EXIT_INTEGRITY = 3
 
 
-def format_complex(z: complex) -> str:
-    return f"{z.real:.12g}{z.imag:+.12g}i"
-
-
 def _to_json(o, nl: str = "\n") -> str:
     """json.dumps(o, indent=2, sort_keys=True), byte for byte; keys must be strings.
 
@@ -202,7 +198,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
     def csv_rows():
         yield ["weight"] + [";".join(p) for p in points]
         for lam, row in zip(lams, rows):
-            yield [_weight_label(lam)] + ["" if v is None else format_complex(v) for v in row]
+            yield [_weight_label(lam)] + ["" if v is None else f"{v.real:.12g}{v.imag:+.12g}i"
+                                          for v in row]
     _emit(args.fmt, args.out, payload, csv_rows)
     return EXIT_OK
 
@@ -249,10 +246,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigurationError("samples must be positive")
     if (args.series is None) != (args.rank is None):
         raise ConfigurationError("give both --series and --rank, or neither")
-    systems = [(args.series, args.rank)] if args.series else [("A", 1), ("A", 2)]
+    systems = [rootdata.build_root_system(series, rank) for series, rank in
+               ([(args.series, args.rank)] if args.series else [("A", 1), ("A", 2)])]
     settings = verify.Settings(args.level, args.grid, args.tolerance, args.seed, args.samples)
-    reports = [report for series, rank in systems
-               for report in verify.run(rootdata.build_root_system(series, rank), settings)]
+    for rs in systems:  # the table caps of every system before the first suite
+        conventions.check_table_cost(rs, args.level, args.grid)
+        verlinde.check_fusion_size(rs, args.level)
+    reports = [report for rs in systems for report in verify.run(rs, settings)]
     _emit(args.fmt, args.out,
           {"schema": "alcove/verify/v1", "reports": [r.to_json_dict() for r in reports]})
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFICATION

@@ -84,13 +84,18 @@ def character_table(rs: RootSystem, k: int, mode: str | None = None) -> Characte
     return _character_table(rs, k, mode or FROZEN.grid_mode)
 
 
-@lru_cache(maxsize=64)
-def _character_table(rs: RootSystem, k: int, mode: str) -> CharacterTable:
+def check_table_cost(rs: RootSystem, k: int, mode: str | None = None) -> None:
+    """Raise ResourceError when the table would sum more than DEFAULT_GRID_CAP orbit terms."""
     count = count_weights_at_level(rs, k)
-    size = count if mode == GRID_SHIFTED else lattice_index(rs, k)
+    size = count if (mode or FROZEN.grid_mode) == GRID_SHIFTED else lattice_index(rs, k)
     cost = (count + 1) * size * weyl_order(rs)  # orbit terms summed over the grid
     if cost > DEFAULT_GRID_CAP:
         raise ResourceError(f"character table cost {cost} exceeds cap {DEFAULT_GRID_CAP}")
+
+
+@lru_cache(maxsize=64)
+def _character_table(rs: RootSystem, k: int, mode: str) -> CharacterTable:
+    check_table_cost(rs, k, mode)
     pref = 1.0 / lattice_index(rs, k)
     if mode == GRID_FULL:
         pref /= weyl_order(rs)

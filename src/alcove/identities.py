@@ -16,13 +16,7 @@ from . import chareval, conventions, weyl
 from .chareval import GRID_FULL
 from .rootdata import RootSystem, TorusPoint, Weight
 
-PRIME_DENOMINATORS = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151,
-                      157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211,
-                      223, 227, 229, 233, 239, 241, 251, 257, 263, 269, 271,
-                      277, 281, 283, 293, 307, 311, 313, 317, 331, 337, 347,
-                      349, 353, 359, 367, 373, 379, 383, 389, 397, 401, 409,
-                      419, 421, 431, 433, 439, 443, 449, 457, 461, 463, 467,
-                      479, 487, 491, 499)
+PRIME_DENOMINATORS = tuple(p for p in range(101, 500) if all(p % q for q in range(2, 23)))
 
 
 class PoleError(ValueError):
@@ -45,11 +39,9 @@ def fundamental_formula_residual(rs: RootSystem, x: TorusPoint, y: TorusPoint) -
     """
     if not (chareval.is_regular(rs, x) and chareval.is_regular(rs, y)):
         raise PoleError("root factor vanishes")
-    group = weyl.enumerate_weyl(rs)
     nx, vx = chareval.residues(rs, x)
     ny, vy = chareval.residues(rs, y)
-    hx = [chareval.pullback(w, vx) for w in group]
-    hy = [chareval.pullback(w, vy) for w in group]
+    hx, hy = chareval.weyl_pullbacks(rs, vx), chareval.weyl_pullbacks(rs, vy)
     # (w Lambda_i | x) + (u Lambda_i | y) = (hx[w][i] ny + hy[u][i] nx) / (nx ny)
     n = nx * ny
     fund_x = [[r * ny for r in h] for h in hx]
@@ -57,8 +49,9 @@ def fundamental_formula_residual(rs: RootSystem, x: TorusPoint, y: TorusPoint) -
     if any((p + q) % n == 0 for fx in fund_x for fy in fund_y for p, q in zip(fx, fy)):
         raise PoleError("weight factor vanishes")
 
-    den_x = [chareval.denominator(rs.positive_roots, nx, h) for h in hx]
-    den_y = [chareval.denominator(rs.positive_roots, ny, h) for h in hy]
+    rows = chareval.root_rows(rs)
+    den_x = [chareval.denominator(chareval.row_residues(rows, h), nx) for h in hx]
+    den_y = [chareval.denominator(chareval.row_residues(rows, h), ny) for h in hy]
     total = 0j
     for fx, dx in zip(fund_x, den_x):
         for fy, dy in zip(fund_y, den_y):
@@ -83,12 +76,12 @@ def subset_identity_residual(rs: RootSystem, x: TorusPoint,
     """
     if generators is None:
         generators = [rs.simple_root(i) for i in range(rs.rank)]
+    rows = chareval.integer_rows(generators)
     n, v = chareval.residues(rs, x)
     m = len(generators)
     total = 0j
-    for w in weyl.enumerate_weyl(rs):
-        h = chareval.pullback(w, v)
-        rem = [chareval.residue(g, h) for g in generators]
+    for h in chareval.weyl_pullbacks(rs, v):
+        rem = chareval.row_residues(rows, h)
         if any(r % n == 0 for r in rem):
             raise PoleError("subset factor vanishes")
         vals = [chareval.phase(r, n) for r in rem]

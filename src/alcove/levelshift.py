@@ -34,18 +34,15 @@ class ShiftWitness(namedtuple("ShiftWitness", [
 
 def make_witness(rs: RootSystem, face: FaceData, w_aff: AffineWeylElement,
                  w_fin: WeylElement, k: int, lam: Weight) -> ShiftWitness:
-    v = weyl.factor_affine(rs, w_aff, w_fin)
-    return ShiftWitness(face, w_aff, w_fin, v, k, lam)
+    return ShiftWitness(face, w_aff, w_fin, weyl.factor_affine(rs, w_aff, w_fin), k, lam)
 
 
 def wall_witnesses(rs: RootSystem, face: FaceData, k: int, lam: Weight) -> list[ShiftWitness]:
     """One witness per stabilizer element of a face meeting the affine wall."""
     if not face.on_affine_wall:
         raise ValueError("witnesses are built on faces meeting the affine wall")
-    out = []
-    for fin, aff in stabilizers.stabilizer_subgroup(rs, face):
-        out.append(make_witness(rs, face, aff, fin, k, lam))
-    return out
+    return [make_witness(rs, face, aff, fin, k, lam)
+            for fin, aff in stabilizers.stabilizer_subgroup(rs, face)]
 
 
 def shift_rule_residual(rs: RootSystem, witness: ShiftWitness, x: TorusPoint,
@@ -59,15 +56,18 @@ def shift_rule_residual(rs: RootSystem, witness: ShiftWitness, x: TorusPoint,
     if not chareval.is_regular(rs, x):
         raise PoleError("denominator factor vanishes at the sample point")
     n, v = chareval.residues(rs, x)
-    h = chareval.pullback(witness.w_fin, v)
-    lhs = chareval.localization_term(rs, witness.lam, n, h)
+    h = chareval.pullback(witness.w_fin, v)  # (w_fin a) . v = a . h
+    lam = chareval.residue(witness.lam, h)
+    lhs = chareval.phase(lam, n)  # e^{w_fin lam} / prod_{alpha > 0} (1 - e^{-w_fin alpha})
+    for r in chareval.row_residues(chareval.root_rows(rs), h):
+        lhs /= 1 - chareval.phase(-r, n)
 
-    sub_roots = stabilizers.sub_positive_roots(rs, witness.face)
-    d_sub = chareval.denominator(sub_roots, n, v)
-    moved_den = chareval.denominator(sub_roots, n, h)
-    d_full = chareval.denominator(rs.positive_roots, n, v)
+    sub_roots = chareval.integer_rows(stabilizers.sub_positive_roots(rs, witness.face))
+    d_sub = chareval.denominator(chareval.row_residues(sub_roots, v), n)
+    moved_den = chareval.denominator(chareval.row_residues(sub_roots, h), n)
+    d_full = chareval.weyl_denominator(rs, x)
     shift = chareval.residue(rs.coroot_to_weight_space(witness.v), v)  # (nu(v) | x) = shift / n
-    moved = chareval.residue(witness.lam, h) + witness.k * shift  # w_fin lam + k nu(v)
+    moved = lam + witness.k * shift  # w_fin lam + k nu(v)
     rhs = (d_sub / d_full) * chareval.phase(moved, n) / moved_den
     if not lattice_form:
         rhs *= chareval.phase(-(witness.k + rs.dual_coxeter) * shift, n)

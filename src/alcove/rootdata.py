@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from . import intlinalg
 from .intlinalg import Mat
@@ -305,12 +306,7 @@ def lattice_index(rs: RootSystem, k: int) -> int:
     if k < 0:
         raise ConfigurationError("level must be nonnegative")
     n = k + rs.dual_coxeter
-    x = [[n * v for v in row] for row in rs.gram_of_M()]
-    divisors = intlinalg.elementary_divisors(x)
-    out = 1
-    for d in divisors:
-        out *= d
-    return out
+    return prod(intlinalg.elementary_divisors([[n * v for v in row] for row in rs.gram_of_M()]))
 
 
 def weights_at_level(rs: RootSystem, k: int) -> list[Weight]:

@@ -187,19 +187,20 @@ def lattice_phase_check(rs: RootSystem, fd: FaceData, k: int, t, require_lattice
     require_lattice=False skips the membership validation so that off-lattice
     probe points can demonstrate the law failing.
     """
-    t = tuple(Fraction(x) for x in t)
     n = k + rs.dual_coxeter
-    scaled = tuple(n * x for x in t)
+    scaled = tuple(n * Fraction(x) for x in t)
     if require_lattice and not rs.in_lattice_Mstar(scaled):
         raise DomainError("t is not of the form m/(k+h^v) with m in M*")
+    return all(rs.pairing_with_coroot_vector(shift, t).denominator == 1
+               for shift in _phase_shifts(rs, fd, k))
+
+
+@lru_cache(maxsize=None)
+def _phase_shifts(rs: RootSystem, fd: FaceData, k: int) -> tuple[Weight, ...]:
+    """(v(k mu) - k mu) + (v(rho) - rho) - (v(rho_mu) - rho_mu) for each v in W_mu (cached)."""
     kmu = fd.mu.mu_star.scale(k)
-    for v, _ in stabilizer_subgroup(rs, fd):
-        shift = ((weyl.act(v, kmu) - kmu) + (weyl.act(v, rs.rho) - rs.rho)
-                 - (weyl.act(v, fd.rho_mu) - fd.rho_mu))
-        angle = rs.pairing_with_coroot_vector(shift, t)
-        if angle.denominator != 1:
-            return False
-    return True
+    return tuple((weyl.act(v, kmu) - kmu) + (weyl.act(v, rs.rho) - rs.rho)
+                 - (weyl.act(v, fd.rho_mu) - fd.rho_mu) for v, _ in stabilizer_subgroup(rs, fd))
 
 
 @lru_cache(maxsize=None)

@@ -129,12 +129,17 @@ def fusion_coefficients(rs: RootSystem, k: int, a: Weight, b: Weight,
     return dict(zip(ws, _fusion_row(table, ws.index(a), ws.index(b))[0]))
 
 
-def fusion_table(rs: RootSystem, k: int, grid_mode: str | None = None,
-                 cap: int = DEFAULT_TABLE_CAP) -> FusionTable:
-    """Complete fusion table, with unit and symmetry invariants verified."""
+def check_fusion_size(rs: RootSystem, k: int) -> int:
+    """The number n of level-k weights; raises ResourceError when n^3 exceeds DEFAULT_TABLE_CAP."""
     n = count_weights_at_level(rs, k)
-    if n ** 3 > cap:
-        raise ResourceError(f"table size {n ** 3} exceeds cap {cap}")
+    if n ** 3 > DEFAULT_TABLE_CAP:
+        raise ResourceError(f"table size {n ** 3} exceeds cap {DEFAULT_TABLE_CAP}")
+    return n
+
+
+def fusion_table(rs: RootSystem, k: int, grid_mode: str | None = None) -> FusionTable:
+    """Complete fusion table, with unit and symmetry invariants verified."""
+    n = check_fusion_size(rs, k)
     table = conventions.character_table(rs, k, grid_mode)
     dense = [[None] * n for _ in range(n)]
     worst = 0.0

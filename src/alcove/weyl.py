@@ -117,13 +117,12 @@ def _reflection(rs: RootSystem, root: Weight, word) -> WeylElement:
 
 def _descent_word(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
     """Greedy descent: repeatedly strip a simple reflection that shortens w."""
-    v = w
     applied: list[int] = []
-    while not v.is_identity:
+    while not w.is_identity:
         i = next(i for i in range(rs.rank)
-                 if all(x <= 0 for x in rs.root_coords(act(v, rs.simple_root(i)))))
+                 if all(x <= 0 for x in rs.root_coords(act(w, rs.simple_root(i)))))
         applied.append(i)
-        v = v * simple_reflection(rs, i)
+        w = w * simple_reflection(rs, i)
     return tuple(reversed(applied))
 
 
@@ -208,9 +207,9 @@ def _enumerate_cached(rs: RootSystem) -> tuple[WeylElement, ...]:
     return tuple(group)
 
 
-def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> tuple[WeylElement, ...]:
+def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
     """All Weyl group elements, sorted by word length then word."""
-    weyl_order(rs, cap)
+    weyl_order(rs)
     return _enumerate_cached(rs)
 
 
@@ -234,26 +233,19 @@ def orbit(rs: RootSystem, a) -> list[tuple[int, tuple]]:
     return out
 
 
-def weyl_order(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> int:
-    """|W| from the degree formula; raises ResourceError above cap, as enumerate_weyl does."""
+def weyl_order(rs: RootSystem) -> int:
+    """|W| from the degree formula; raises ResourceError above DEFAULT_GROUP_CAP."""
     order = order_formula(rs)
-    if order > cap:
-        raise ResourceError(f"Weyl group of order {order} exceeds cap {cap}")
+    if order > DEFAULT_GROUP_CAP:
+        raise ResourceError(f"Weyl group of order {order} exceeds cap {DEFAULT_GROUP_CAP}")
     return order
 
 
 def longest_element(rs: RootSystem) -> WeylElement:
     """Walk -rho back to the dominant chamber; reversing the walk gives w_L."""
-    v = -rs.rho
-    applied: list[int] = []
-    while True:
-        i = next((i for i in range(rs.rank) if v.coords[i] < 0), None)
-        if i is None:
-            break
-        applied.append(i)
+    v, w = -rs.rho, identity_element(rs)
+    while (i := next((i for i in range(rs.rank) if v.coords[i] < 0), None)) is not None:
         v = act(simple_reflection(rs, i), v)
-    w = identity_element(rs)
-    for i in applied:
         w = w * simple_reflection(rs, i)
     assert all(not act(w, beta).is_dominant for beta in rs.positive_roots)
     return w

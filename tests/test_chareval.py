@@ -365,3 +365,30 @@ def test_characters_never_list_the_weyl_group(monkeypatch):
         assert conventions._character_table.__wrapped__(from_name(name), k, "shifted") == table
     assert chareval.characters(a2, lams, x) == before
     assert character(a2, lams[-1], x) == before[-1]
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_weyl_sums_read_orbits_not_listed_elements(name, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Weyl sum listed W or pulled a point back")
+
+    rs = from_name(name)
+    rng = random.Random(9)
+    lams = rootdata.weights_at_level(rs, 2)
+    sums = [lambda x, y: localization_sum(rs, lams[-1], x),
+            lambda x, y: identities.fundamental_formula_residual(rs, x, y),
+            lambda x, y: identities.subset_identity_residual(rs, x),
+            lambda x, y: chareval.characters(rs, lams, x)]
+    samples = []
+    while len(samples) < 3:
+        x, y = identities.random_rational_point(rs, rng), identities.random_rational_point(rs, rng)
+        try:
+            samples.append((x, y, [f(x, y) for f in sums]))
+        except (identities.PoleError, SingularPointError):
+            continue
+    table = conventions._character_table.__wrapped__(rs, 1, "full")
+    monkeypatch.setattr(weyl, "enumerate_weyl", refuse)
+    monkeypatch.setattr(chareval, "pullback", refuse)
+    for x, y, values in samples:
+        assert [f(x, y) for f in sums] == values
+    assert conventions._character_table.__wrapped__(rs, 1, "full") == table

@@ -162,10 +162,15 @@ def test_negative_tolerance_rejected(capsys, tolerance):
     ["roots", "--series", "A", "--rank", "1", "--out", "/nonexistent/x.json"],
     ["roots", "--series", "E", "--rank", "7", "--elements"],
     ["faces", "--series", "A", "--rank", "10"],
+    ["verify", "--series", "A", "--rank", "1", "--level", "100", "--samples", "1"],
 ], ids=["point-1/0", "weight-x", "weight-negative", "pair-above-level", "grid-E8-cap",
         "roots-level-negative", "grid-level-negative", "out-unwritable", "roots-E7-elements",
-        "faces-A10-cap"])
-def test_bad_input_exits_2_with_one_line_error(capsys, args):
+        "faces-A10-cap", "verify-fusion-cap"])
+def test_bad_input_exits_2_with_one_line_error(capsys, monkeypatch, args):
+    def suite(rs, settings):
+        raise AssertionError("a verify suite ran before the input was refused")
+
+    monkeypatch.setattr(verify, "SUITES", (suite,))
     code, out, err = run(capsys, *args)
     assert code == 2
     assert out == ""
@@ -362,6 +367,18 @@ def test_grid_cost_cap_refuses_before_listing_anything(capsys, monkeypatch):
         assert code == 2 and out == ""
         assert err.startswith("error: character table cost ") and err.count("\n") == 1
         assert f"exceeds cap {conventions.DEFAULT_GRID_CAP}" in err
+
+
+def test_verify_checks_every_cap_before_the_first_suite(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(verify, "SUITES", (lambda rs, settings: ran.append(rs) or [],))
+    code, _, err = run(capsys, "verify", "--series", "A", "--rank", "1", "--level", "100",
+                       "--samples", "1")
+    assert code == 2 and err == "error: table size 1030301 exceeds cap 500000\n"
+    # the default systems: A1 passes both caps at level 40, A2 does not
+    code, _, err = run(capsys, "verify", "--level", "40")
+    assert code == 2 and err == "error: character table cost 4453092 exceeds cap 2000000\n"
+    assert ran == []
 
 
 def test_grid_cost_cap_admits_e6_level_1_and_the_tested_grids():

@@ -158,6 +158,23 @@ def test_lattice_phase_off_lattice_probe_fails(name):
     assert failed
 
 
+def test_lattice_phase_shifts_are_computed_once_per_face_and_level(monkeypatch):
+    rs = from_name("B3")
+    n = 1 + rs.dual_coxeter
+    faces = [fd for _, fd in enumerate_faces(rs)]
+    rows = rs.lattice_Mstar_basis
+    first = [stabilizers.lattice_phase_check(rs, fd, 1, tuple(Fraction(x, n) for x in rows[0]))
+             for fd in faces]
+    monkeypatch.setattr(weyl, "act", None)  # every later probe reuses the cached shifts
+    for row in rows[1:]:
+        assert all(stabilizers.lattice_phase_check(rs, fd, 1, tuple(Fraction(x, n) for x in row))
+                   for fd in faces)
+    assert all(first)
+    assert not all(stabilizers.lattice_phase_check(
+        rs, fd, 1, tuple(Fraction(x, n + 1) for x in row), require_lattice=False)
+        for fd in faces for row in rows)
+
+
 @pytest.mark.parametrize("name", FACE_SYSTEMS)
 def test_epsilon_covector_primitivity(name):
     rs = from_name(name)

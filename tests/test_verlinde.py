@@ -210,11 +210,13 @@ def test_fusion_invariants(name, k):
                     assert lhs == rhs
 
 
-def test_table_cap():
+def test_table_cap(monkeypatch):
     rs = from_name("A2")
     assert verlinde.ResourceError is weyl.ResourceError
-    with pytest.raises(verlinde.ResourceError):
-        fusion_table(rs, 3, cap=10)
+    with monkeypatch.context() as patched:
+        patched.setattr(verlinde, "DEFAULT_TABLE_CAP", 10)  # read at call time
+        with pytest.raises(verlinde.ResourceError, match="table size 1000 exceeds cap 10"):
+            fusion_table(rs, 3)
     # refused from the count alone: listing these 302621 weights takes seconds
     with pytest.raises(verlinde.ResourceError, match=f"table size {302621 ** 3} exceeds cap"):
         fusion_table(from_name("A3"), 120)

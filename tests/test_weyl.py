@@ -78,12 +78,13 @@ def test_e6_orbit_of_rho():
     assert sum(sign for sign, _ in orbit) == 0
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     rs = from_name("A3")
+    monkeypatch.setattr(weyl, "DEFAULT_GROUP_CAP", 5)  # read at call time
+    with pytest.raises(weyl.ResourceError, match="Weyl group of order 24 exceeds cap 5"):
+        weyl.enumerate_weyl(rs)
     with pytest.raises(weyl.ResourceError):
-        weyl.enumerate_weyl(rs, cap=5)
-    with pytest.raises(weyl.ResourceError):
-        weyl.weyl_order(rs, cap=5)
+        weyl.weyl_order(rs)
 
 
 def test_e7_refused_at_default_cap():
