@@ -42,6 +42,9 @@ DEFAULT_JOBS = (
     "verify --series G --rank 2 --level 1 --seed 7",
     # a large Weyl group and the CSV forms
     "grid --series E --rank 6 --level 1",
+    # the Weyl element list streamed at |W| = 51,840 (45 MB of JSON) and 1,920
+    "roots --series E --rank 6 --elements",
+    "roots --series D --rank 5 --elements",
     "grid --series B --rank 2 --level 2 --grid full --format csv",
     "fusion --series A --rank 2 --level 6 --format csv",
     # the --pair CSV slab and a large streamed table (2.8 MB of triples)

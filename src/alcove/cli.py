@@ -141,7 +141,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     data["lattice_index_at_level"] = {str(k): rootdata.lattice_index(rs, k)
                                       for k in range(args.level + 1)}
     if args.elements:
-        elements = weyl.enumerate_weyl(rs)  # the group cap raises here, before any output
+        elements = weyl.iter_weyl(rs)  # the group cap raises here, before any output
         data["weyl_elements"] = ({"word": list(w.word), "sign": w.sign,
                                   "action": [list(row) for row in w.action]}
                                  for w in elements)

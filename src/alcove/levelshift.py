@@ -14,6 +14,7 @@ exponential contributes e^{w_fin lam + k nu(v)}.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import mul
 
 from . import chareval, stabilizers, weyl
 from .identities import PoleError
@@ -26,7 +27,8 @@ from .weyl import AffineWeylElement, WeylElement
 class ShiftWitness(namedtuple("ShiftWitness", [
         "face", "w_aff", "w_fin",
         "v",          # translation, simple-coroot coordinates
-        "k", "lam"])):
+        "k", "lam",
+        "rows"])):    # integer rows: lam, nu(v), then the face's positive sub-roots
     """A factored stabilizer pair with its level-k context."""
 
     __slots__ = ()
@@ -34,7 +36,10 @@ class ShiftWitness(namedtuple("ShiftWitness", [
 
 def make_witness(rs: RootSystem, face: FaceData, w_aff: AffineWeylElement,
                  w_fin: WeylElement, k: int, lam: Weight) -> ShiftWitness:
-    return ShiftWitness(face, w_aff, w_fin, weyl.factor_affine(rs, w_aff, w_fin), k, lam)
+    v = weyl.factor_affine(rs, w_aff, w_fin)
+    rows = chareval.integer_rows((lam, rs.coroot_to_weight_space(v))
+                                 + stabilizers.sub_positive_roots(rs, face))
+    return ShiftWitness(face, w_aff, w_fin, v, k, lam, rows)
 
 
 def wall_witnesses(rs: RootSystem, face: FaceData, k: int, lam: Weight) -> list[ShiftWitness]:
@@ -53,20 +58,22 @@ def shift_rule_residual(rs: RootSystem, witness: ShiftWitness, x: TorusPoint,
     nu(M*)/(k+h^v)); lattice_form=False keeps it, and the residual then
     vanishes at every pole-free point.
     """
-    if not chareval.is_regular(rs, x):
-        raise PoleError("denominator factor vanishes at the sample point")
     n, v = chareval.residues(rs, x)
+    roots = chareval.root_rows(rs)
+    at_x = chareval.row_residues(roots, v)
+    if not all(r % n for r in at_x):  # chareval.is_regular, on residues at hand
+        raise PoleError("denominator factor vanishes at the sample point")
     h = chareval.pullback(witness.w_fin, v)  # (w_fin a) . v = a . h
-    lam = chareval.residue(witness.lam, h)
+    lam_row, shift_row, *sub_roots = witness.rows
+    lam = sum(map(mul, lam_row, h))
     lhs = chareval.phase(lam, n)  # e^{w_fin lam} / prod_{alpha > 0} (1 - e^{-w_fin alpha})
-    for r in chareval.row_residues(chareval.root_rows(rs), h):
+    for r in chareval.row_residues(roots, h):
         lhs /= 1 - chareval.phase(-r, n)
 
-    sub_roots = chareval.integer_rows(stabilizers.sub_positive_roots(rs, witness.face))
     d_sub = chareval.denominator(chareval.row_residues(sub_roots, v), n)
     moved_den = chareval.denominator(chareval.row_residues(sub_roots, h), n)
-    d_full = chareval.weyl_denominator(rs, x)
-    shift = chareval.residue(rs.coroot_to_weight_space(witness.v), v)  # (nu(v) | x) = shift / n
+    d_full = chareval.denominator(at_x, n)
+    shift = sum(map(mul, shift_row, v))  # (nu(v) | x) = shift / n
     moved = lam + witness.k * shift  # w_fin lam + k nu(v)
     rhs = (d_sub / d_full) * chareval.phase(moved, n) / moved_den
     if not lattice_form:

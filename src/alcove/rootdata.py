@@ -27,6 +27,11 @@ SERIES_RANKS = {
     "G": lambda l: l == 2,
 }
 
+# Rank cap, checked before any root datum is built: a rank-20 datum takes about
+# a second, its cost grows faster than rank^3, and the Weyl group and face caps
+# stop far below it.
+MAX_RANK = 20
+
 
 class ConfigurationError(ValueError):
     """Invalid (series, rank) or other bad build input."""
@@ -158,6 +163,8 @@ class RootSystem:
     def __init__(self, series: str, rank: int):
         if series not in SERIES_RANKS or not SERIES_RANKS[series](rank):
             raise ConfigurationError(f"invalid simple type {series}{rank}")
+        if rank > MAX_RANK:
+            raise ConfigurationError(f"rank {rank} exceeds cap {MAX_RANK}")
         self.series = series
         self.rank = rank
         self.cartan = _cartan_matrix(series, rank)

@@ -10,17 +10,18 @@ W is walked once, breadth-first by left multiplication with simple
 reflections, keyed by w(rho) (injective, as rho is regular), and cached as a
 skeleton: each element is s_i times an earlier one.  orbit(rs, a) replays the
 skeleton on a; s_i(u) = u - u_i alpha_i changes only the coordinates on the
-support of alpha_i, so each image costs O(rank).  enumerate_weyl reads the
-matrices off the orbits of the fundamental weights (column j of w is
-w(Lambda_j)).
+support of alpha_i, so each image costs O(rank).  iter_weyl replays it on the
+matrices (column j of w is w(Lambda_j)), rebuilding only the rows on that
+support, and yields the elements one at a time while holding only the last
+two word lengths; enumerate_weyl is its cached tuple.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 
 from . import intlinalg
 from .rootdata import RootSystem, TorusPoint, Weight
@@ -196,21 +197,42 @@ def _skeleton(rs: RootSystem) -> tuple[tuple[int, int, int], ...]:
     return tuple(skeleton)
 
 
-@lru_cache(maxsize=None)
-def _enumerate_cached(rs: RootSystem) -> tuple[WeylElement, ...]:
-    # column j of the matrix of w is w(Lambda_j), so each matrix is a transpose
-    columns = zip(*(orbit(rs, row) for row in _identity_mat(rs.rank)))
-    group = [identity_element(rs)]
-    for (parent, i, sign), column in zip(_skeleton(rs)[1:], islice(columns, 1, None)):
-        action = tuple(zip(*(image for _, image in column)))
-        group.append(WeylElement(action, sign, (i,) + group[parent].word))
-    return tuple(group)
+def iter_weyl(rs: RootSystem) -> Iterator[WeylElement]:
+    """The elements of enumerate_weyl(rs) in its order, built one at a time.
+
+    The matrix of s_i * w is M - alpha_i (x) M[i]: the rows off the support of
+    alpha_i are w's own row tuples.  A parent lies one word length below its
+    children, so only the last two lengths are held.
+    """
+    weyl_order(rs)  # the group cap raises on every call, before the first element
+    skeleton, supports = _skeleton(rs), _supports(rs)
+
+    def elements():
+        w = identity_element(rs)
+        yield w
+        older, newer = {}, {0: w}
+        for t in range(1, len(skeleton)):
+            parent, i, sign = skeleton[t]
+            if sign != w.sign:  # a new word length: its parents are the last length
+                older, newer = newer, {}
+            w = older[parent]
+            action, row = list(w.action), w.action[i]
+            for k, a in supports[i].items():  # s_i(u) = u - u_i alpha_i, column by column
+                action[k] = tuple(x - a * y for x, y in zip(action[k], row))
+            w = newer[t] = WeylElement(tuple(action), sign, (i,) + w.word)
+            yield w
+    return elements()
 
 
 def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
-    """All Weyl group elements, sorted by word length then word."""
+    """All Weyl group elements, sorted by word length then word (tuple(iter_weyl(rs)), cached)."""
     weyl_order(rs)
     return _enumerate_cached(rs)
+
+
+@lru_cache(maxsize=None)
+def _enumerate_cached(rs: RootSystem) -> tuple[WeylElement, ...]:
+    return tuple(iter_weyl(rs))
 
 
 def orbit(rs: RootSystem, a) -> list[tuple[int, tuple]]:

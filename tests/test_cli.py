@@ -42,6 +42,21 @@ def test_roots_with_elements(capsys):
     assert sum(e["sign"] for e in data["weyl_elements"]) == 0
 
 
+def test_roots_elements_stream_without_listing_the_weyl_group(capsys, monkeypatch):
+    rs = from_name("F4")
+    expected = [{"word": list(w.word), "sign": w.sign, "action": [list(row) for row in w.action]}
+                for w in weyl.enumerate_weyl(rs)]
+
+    def refuse(*args):
+        raise AssertionError("roots --elements listed W")
+
+    monkeypatch.setattr(weyl, "enumerate_weyl", refuse)
+    monkeypatch.setattr(weyl, "_enumerate_cached", refuse)
+    code, out, _ = run(capsys, "roots", "--series", "F", "--rank", "4", "--elements")
+    assert code == 0
+    assert json.loads(out)["weyl_elements"] == expected
+
+
 def test_invalid_series_exits_2(capsys):
     code, out, err = run(capsys, "roots", "--series", "H", "--rank", "2")
     assert code == 2
@@ -163,9 +178,10 @@ def test_negative_tolerance_rejected(capsys, tolerance):
     ["roots", "--series", "E", "--rank", "7", "--elements"],
     ["faces", "--series", "A", "--rank", "10"],
     ["verify", "--series", "A", "--rank", "1", "--level", "100", "--samples", "1"],
+    ["roots", "--series", "A", "--rank", "300"],
 ], ids=["point-1/0", "weight-x", "weight-negative", "pair-above-level", "grid-E8-cap",
         "roots-level-negative", "grid-level-negative", "out-unwritable", "roots-E7-elements",
-        "faces-A10-cap", "verify-fusion-cap"])
+        "faces-A10-cap", "verify-fusion-cap", "roots-A300-rank-cap"])
 def test_bad_input_exits_2_with_one_line_error(capsys, monkeypatch, args):
     def suite(rs, settings):
         raise AssertionError("a verify suite ran before the input was refused")

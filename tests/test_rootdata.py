@@ -102,6 +102,19 @@ def test_invalid_types_rejected():
             build_root_system(series, rank)
 
 
+def test_rank_cap_refuses_before_building(monkeypatch):
+    for series in "ABCD":  # the tested ranks stay well below the cap
+        assert build_root_system(series, 10).rank == 10
+
+    def refuse(*args):
+        raise AssertionError("a root datum was built above the rank cap")
+
+    monkeypatch.setattr(rootdata, "_cartan_matrix", refuse)
+    for rank in (rootdata.MAX_RANK + 1, 300):
+        with pytest.raises(ConfigurationError, match=f"rank {rank} exceeds cap 20"):
+            build_root_system("A", rank)
+
+
 def test_lattice_index_examples():
     assert rootdata.lattice_index(from_name("A1"), 1) == 6
     assert rootdata.lattice_index(from_name("A2"), 1) == 48

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -33,12 +34,36 @@ def reference_enumeration(rs):
     return sorted(seen.values(), key=lambda w: (len(w.word), w.word))
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "B5", "C3",
-                                  "D4", "G2", "F4"])
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3",
+                                  "C4", "D4", "D5", "G2", "F4"])
 def test_enumeration_equals_matrix_product_reference(name):
     rs = from_name(name)
     expected = [(w.action, w.sign, w.word) for w in reference_enumeration(rs)]
+    assert [(w.action, w.sign, w.word) for w in weyl.iter_weyl(rs)] == expected
     assert [(w.action, w.sign, w.word) for w in weyl.enumerate_weyl(rs)] == expected
+
+
+@pytest.mark.parametrize("name", ["D5", "F4"])
+def test_streamed_elements_hold_two_word_lengths(monkeypatch, name):
+    rs = from_name(name)
+    lengths = Counter(len(w.word) for w in weyl.enumerate_weyl(rs))
+    alive = [0, 0]  # elements alive now, most ever alive
+
+    class Counted(weyl.WeylElement):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            alive[0] += 1
+            alive[1] = max(alive)
+            return super().__new__(cls, *fields)
+
+        def __del__(self):
+            alive[0] -= 1
+
+    monkeypatch.setattr(weyl, "WeylElement", Counted)
+    assert sum(1 for _ in weyl.iter_weyl(rs)) == sum(lengths.values())
+    two_lengths = max(lengths[n] + lengths[n + 1] for n in lengths)
+    assert alive[1] <= two_lengths + 1 < sum(lengths.values()) / 4
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"])
@@ -80,9 +105,12 @@ def test_e6_orbit_of_rho():
 
 def test_enumeration_cap(monkeypatch):
     rs = from_name("A3")
+    weyl.enumerate_weyl(rs)  # cached below the cap
     monkeypatch.setattr(weyl, "DEFAULT_GROUP_CAP", 5)  # read at call time
     with pytest.raises(weyl.ResourceError, match="Weyl group of order 24 exceeds cap 5"):
         weyl.enumerate_weyl(rs)
+    with pytest.raises(weyl.ResourceError, match="exceeds cap 5"):
+        weyl.iter_weyl(rs)  # on the call, before any element is asked for
     with pytest.raises(weyl.ResourceError):
         weyl.weyl_order(rs)
 
