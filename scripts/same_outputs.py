@@ -66,6 +66,10 @@ DEFAULT_JOBS = (
     "verify --series A --rank 3 --level 2",
     "verify --series C --rank 3 --level 1",
     "verify --series B --rank 3 --level 1",
+    # the full grid's |W| scale in the orthogonality suite (exit 1 by design), and
+    # the level-shift rule at D4, the largest group verify admits (about 25 s)
+    "verify --level 1 --grid full",
+    "verify --series D --rank 4 --level 1",
     # one character at a regular point, at the identity and at a singular point (exit 2)
     "char --series A --rank 2 --weight 1,1 --point 1/5,2/7",
     "char --series A --rank 2 --weight 1,1 --point 0,0",

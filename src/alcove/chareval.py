@@ -48,7 +48,7 @@ def _integer_gram(rs: RootSystem):
 
 
 def residues(rs: RootSystem, x: TorusPoint) -> tuple[int, list[int]]:
-    """(N, v) with (a | x) = residue(a, v) / N exactly for every integral weight a."""
+    """(N, v) with (a | x) = (a . v) / N exactly for the integer row a of every integral weight."""
     d, gram = _integer_gram(rs)
     dx = lcm(*(c.denominator for c in x.mu_star.coords))
     scaled = [int(c * dx) for c in x.mu_star.coords]
@@ -73,18 +73,8 @@ def row_residues(rows, v) -> list[int]:
     return [sum(map(mul, a, v)) for a in rows]
 
 
-def residue(a: Weight, v) -> int:
-    """The integer a . v of one integral weight a."""
-    return sum(map(mul, *integer_rows([a]), v))
-
-
-def pullback(w: weyl.WeylElement, v) -> list[int]:
-    """h_w = w.action^T v, so that (w a | x) = residue(a, h_w) / N."""
-    return [sum(row[j] * vi for row, vi in zip(w.action, v)) for j in range(len(v))]
-
-
 def weyl_pullbacks(rs: RootSystem, v) -> list[tuple[int, ...]]:
-    """pullback(w, v) for each w in enumerate_weyl order: entry j is (w Lambda_j) . v."""
+    """h_w = w.action^T v for each w in enumerate_weyl order: entry j is (w Lambda_j) . v."""
     units = [[int(i == j) for i in range(rs.rank)] for j in range(rs.rank)]
     return list(zip(*([sum(map(mul, u, v)) for _, u in weyl.orbit(rs, e)] for e in units)))
 

@@ -305,6 +305,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "level", 0) < 0:  # faces and char take no --level
             raise ConfigurationError("level must be nonnegative")
+        if getattr(args, "level", 0) > rootdata.MAX_LEVEL:
+            raise ConfigurationError(f"level {args.level} exceeds cap {rootdata.MAX_LEVEL}")
         return args.run(args)
     except (ValueError, weyl.ResourceError) as exc:  # bad input, singular point, cap
         print(f"error: {exc}", file=sys.stderr)

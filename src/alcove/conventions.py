@@ -46,17 +46,6 @@ GridConventions = namedtuple("GridConventions", "grid_mode include_empty_subset"
 FROZEN = GridConventions()
 
 
-def grid_measure(rs: RootSystem, k: int, mode: str | None = None):
-    """(label, point, weight) triples defining the inversion measure (CharacterTable.measure).
-
-    Summing chi_b * conj(chi_a) against the weights gives delta_ab exactly
-    (up to float noise) in either grid mode; non-regular full-grid points
-    carry weight 0 because the denominator vanishes there.
-    """
-    table = character_table(rs, k, mode)
-    return list(zip(table.labels, table.points, table.measure))
-
-
 class CharacterTable(namedtuple("CharacterTable", "mode weights labels points regular "
                                                   "measure values live duals")):
     """Level-k characters on one grid; cached and shared, so read-only.

@@ -96,18 +96,17 @@ def subset_identity_residual(rs: RootSystem, x: TorusPoint,
 
 # -- orthogonality on the evaluation grid ---------------------------------------
 
-def orthogonality_matrix(rs: RootSystem, k: int, grid_mode: str | None = None,
-                         orbit_correction: bool = False):
+def orthogonality_matrix(rs: RootSystem, k: int, grid_mode: str | None = None):
     """Gram matrix of the level-k characters over the chosen grid.
 
     Entry (a, b) is the grid sum of chi_b * conj(chi_a) * |D|^2 times the
     shared prefactor 1/|M*/(k+h^v)M|: column b is CharacterTable.invert of
     chi_b, and on the full grid, whose measure carries an extra 1/|W|, the
-    column is scaled back by |W| unless orbit_correction is set.  Exactly one
-    grid mode (the frozen shifted one) then produces the identity matrix, and
-    the full grid overshoots by |W|.  Returns (weights, matrix).
+    column is scaled back by |W|.  Exactly one grid mode (the frozen shifted
+    one) then produces the identity matrix, and the full grid overshoots by
+    |W|.  Returns (weights, matrix).
     """
     table = conventions.character_table(rs, k, grid_mode)
-    scale = weyl.weyl_order(rs) if table.mode == GRID_FULL and not orbit_correction else 1
+    scale = weyl.weyl_order(rs) if table.mode == GRID_FULL else 1
     columns = [table.invert([row[t] for t in table.live]) for row in table.values]
     return list(table.weights), [[z * scale for z in row] for row in zip(*columns)]

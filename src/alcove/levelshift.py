@@ -18,17 +18,14 @@ from operator import mul
 
 from . import chareval, stabilizers, weyl
 from .identities import PoleError
-# inner is unused here; perfbench/test_perfbench.py checks that this binding is traced.
-from .rootdata import RootSystem, TorusPoint, Weight, inner  # noqa: F401
+from .rootdata import RootSystem, TorusPoint, Weight
 from .stabilizers import FaceData
 from .weyl import AffineWeylElement, WeylElement
 
 
 class ShiftWitness(namedtuple("ShiftWitness", [
-        "face", "w_aff", "w_fin",
-        "v",          # translation, simple-coroot coordinates
-        "k", "lam",
-        "rows"])):    # integer rows: lam, nu(v), then the face's positive sub-roots
+        "w_fin", "v", "k",  # v: the translation, simple-coroot coordinates
+        "rows"])):          # integer rows: lam, nu(v), then the face's positive sub-roots
     """A factored stabilizer pair with its level-k context."""
 
     __slots__ = ()
@@ -37,9 +34,9 @@ class ShiftWitness(namedtuple("ShiftWitness", [
 def make_witness(rs: RootSystem, face: FaceData, w_aff: AffineWeylElement,
                  w_fin: WeylElement, k: int, lam: Weight) -> ShiftWitness:
     v = weyl.factor_affine(rs, w_aff, w_fin)
-    rows = chareval.integer_rows((lam, rs.coroot_to_weight_space(v))
-                                 + stabilizers.sub_positive_roots(rs, face))
-    return ShiftWitness(face, w_aff, w_fin, v, k, lam, rows)
+    lam_row, *sub_roots = chareval.integer_rows((lam,) + stabilizers.sub_positive_roots(rs, face))
+    shift_row = tuple(chareval.row_residues(rs.gram_of_M(), v))  # nu(v), integral as v is in M
+    return ShiftWitness(w_fin, v, k, (lam_row, shift_row, *sub_roots))
 
 
 def wall_witnesses(rs: RootSystem, face: FaceData, k: int, lam: Weight) -> list[ShiftWitness]:
@@ -63,7 +60,7 @@ def shift_rule_residual(rs: RootSystem, witness: ShiftWitness, x: TorusPoint,
     at_x = chareval.row_residues(roots, v)
     if not all(r % n for r in at_x):  # chareval.is_regular, on residues at hand
         raise PoleError("denominator factor vanishes at the sample point")
-    h = chareval.pullback(witness.w_fin, v)  # (w_fin a) . v = a . h
+    h = chareval.row_residues(zip(*witness.w_fin.action), v)  # (w_fin a) . v = a . h
     lam_row, shift_row, *sub_roots = witness.rows
     lam = sum(map(mul, lam_row, h))
     lhs = chareval.phase(lam, n)  # e^{w_fin lam} / prod_{alpha > 0} (1 - e^{-w_fin alpha})

@@ -31,6 +31,9 @@ SERIES_RANKS = {
 # a second, its cost grows faster than rank^3, and the Weyl group and face caps
 # stop far below it.
 MAX_RANK = 20
+# Level cap of the CLI, checked before any work that grows with the level: `roots`
+# takes about 4 s at it, and the table caps refuse far lower levels.
+MAX_LEVEL = 100_000
 
 
 class ConfigurationError(ValueError):
@@ -195,8 +198,7 @@ class RootSystem:
         comarks = [Fraction(a) * di for a, di in zip(theta_rc, self.symmetrizers)]
         if not intlinalg.is_integral(comarks):
             raise AssertionError("comarks must be integers")
-        self.comarks = tuple(int(x) for x in comarks)
-        self.highest_coroot = self.comarks
+        self.comarks = tuple(int(x) for x in comarks)  # theta^v in simple-coroot coordinates
         self.dual_coxeter = 1 + sum(self.comarks)
         self.rho = self.weight_from_coords([1] * rank)
 
@@ -204,7 +206,6 @@ class RootSystem:
         # transitive on the long roots, whose coroots span Q^v.  Its basis is the
         # simple coroots, and the dual basis of M* = nu^-1(P) is nu^-1 of the
         # fundamental weights, whose coroot coordinates are the rows of gram_weights.
-        self.lattice_M_basis = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
         self.lattice_Mstar_basis = tuple(tuple(row) for row in self.gram_weights)
 
     # -- coordinates ---------------------------------------------------------

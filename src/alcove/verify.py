@@ -142,9 +142,9 @@ def multiplicity_inversion_suite(rs: RootSystem, settings: Settings) -> list[Ide
     rng = random.Random(settings.seed + 2)
     samples = min(settings.samples, 25)
     worst, ok = 0.0, True
-    lws = verlinde.dominant_weights(rs, settings.level)
+    lams = rootdata.weights_at_level(rs, settings.level)
     for _ in range(samples):
-        m = {lam: rng.randrange(0, 10) for lam in lws.weights}
+        m = {lam: rng.randrange(0, 10) for lam in lams}
         values = verlinde.synthesize(rs, settings.level, m, settings.grid_mode)
         got = verlinde.extract_multiplicities(rs, settings.level, values, settings.grid_mode)
         worst = max(worst, got.max_residual)

@@ -9,11 +9,10 @@ inversion applied to pointwise products of characters.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from operator import sub
 
 from . import conventions, weyl
-from .rootdata import RootSystem, Weight, count_weights_at_level, weights_at_level
+from .rootdata import RootSystem, Weight, count_weights_at_level
 from .weyl import ResourceError
 
 ROUNDING_ERROR_THRESHOLD = 1e-4
@@ -25,15 +24,13 @@ class InconsistentInputError(ValueError):
     """Grid values are not a character combination at this level."""
 
 
-LevelWeightSet = namedtuple("LevelWeightSet", "k weights")
 ExtractionResult = namedtuple("ExtractionResult", "multiplicities max_residual")
 
 
 class FusionTable(namedtuple("FusionTable", "k weights max_residual dense")):
-    """Fusion coefficients; dense[a][b][c] is N_ab^c by position in weights.
+    """Fusion coefficients; dense[a][b][c] is N_ab^c by position in weights."""
 
-    No __slots__: the cached _position lives in the instance __dict__.
-    """
+    __slots__ = ()
 
     @property
     def entries(self) -> dict[tuple[Weight, Weight, Weight], int]:
@@ -41,22 +38,6 @@ class FusionTable(namedtuple("FusionTable", "k weights max_residual dense")):
         ws = self.weights
         return {(ws[a], ws[b], ws[c]): n for a, slab in enumerate(self.dense)
                 for b, row in enumerate(slab) for c, n in enumerate(row) if n}
-
-    @cached_property
-    def _position(self) -> dict[Weight, int]:
-        return {lam: i for i, lam in enumerate(self.weights)}
-
-    def coefficient(self, a: Weight, b: Weight, c: Weight) -> int:
-        """N_ab^c; 0 for a weight outside the table."""
-        pos = self._position
-        if a in pos and b in pos and c in pos:
-            return self.dense[pos[a]][pos[b]][pos[c]]
-        return 0
-
-
-def dominant_weights(rs: RootSystem, k: int) -> LevelWeightSet:
-    """P_+ cap kC in the canonical lexicographic order."""
-    return LevelWeightSet(k, tuple(weights_at_level(rs, k)))
 
 
 def contragredient(rs: RootSystem, a: Weight) -> Weight:

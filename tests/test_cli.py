@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -256,7 +257,8 @@ def test_fusion_csv_has_one_row_per_pair(capsys, monkeypatch):
     assert {(a, b, c): int(n) for a, b, *ns in rows for c, n in zip(header[2:], ns)
             if n != "0"} == triples
     # neither form lists the weights again: the CSV channels are the table's weights
-    monkeypatch.setattr(verlinde, "dominant_weights", None)
+    for module in (rootdata, conventions, chareval):
+        monkeypatch.setattr(module, "weights_at_level", None)
     csv = out
     code, out, _ = run(capsys, "fusion", "--series", "A", "--rank", "2", "--level", "2")
     assert code == 0 and {(t["a"], t["b"], t["c"]): t["n"]
@@ -383,6 +385,22 @@ def test_grid_cost_cap_refuses_before_listing_anything(capsys, monkeypatch):
         assert code == 2 and out == ""
         assert err.startswith("error: character table cost ") and err.count("\n") == 1
         assert f"exceeds cap {conventions.DEFAULT_GRID_CAP}" in err
+
+
+@pytest.mark.parametrize("command", ["roots", "grid", "fusion", "verify"])
+def test_level_cap_refuses_before_any_level_sized_work(capsys, monkeypatch, command):
+    def sized(*args):
+        raise AssertionError("level-sized work ran before the level cap")
+
+    for module in (rootdata, conventions, verlinde):
+        monkeypatch.setattr(module, "count_weights_at_level", sized)
+    monkeypatch.setattr(rootdata, "lattice_index", sized)
+    level = 10 ** 12
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--series", "A", "--rank", "1", "--level", str(level))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == f"error: level {level} exceeds cap {rootdata.MAX_LEVEL}\n"
 
 
 def test_verify_checks_every_cap_before_the_first_suite(capsys, monkeypatch):

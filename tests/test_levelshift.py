@@ -134,3 +134,17 @@ def test_regular_lattice_points_are_regular_grid_members():
     full = [p for _, p in chareval.full_grid(rs, 1)]
     assert all(p in full for p in pts)
     assert all(chareval.is_regular(rs, p) for p in pts)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "D4"])
+def test_witness_shift_row_is_the_fraction_image_of_v(name):
+    # nu(v) read in integers as gram_of_M() v equals the Fraction path
+    rs = from_name(name)
+    count = 0
+    for fd in wall_faces(rs):
+        for wit in wall_witnesses(rs, fd, 1, rs.zero_weight()):
+            nu = rs.coroot_to_weight_space(wit.v).coords
+            assert all(c.denominator == 1 for c in nu)
+            assert wit.rows[1] == tuple(map(int, nu))
+            count += 1
+    assert count > 0

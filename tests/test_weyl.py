@@ -243,9 +243,8 @@ def test_alcove_tiling_interior_is_free(name):
     group = weyl.enumerate_weyl(rs)
     for _ in range(25):
         w = rng.choice(group)
-        coeffs = [rng.randrange(-2, 3) for _ in range(rs.rank)]
-        trans = tuple(sum(c * row[i] for c, row in zip(coeffs, rs.lattice_M_basis))
-                      for i in range(rs.rank))
+        # coordinates in the basis of M, the simple coroots
+        trans = tuple(rng.randrange(-2, 3) for _ in range(rs.rank))
         g = weyl.AffineWeylElement(w, trans)
         if g.is_identity:
             continue
@@ -358,8 +357,8 @@ def test_orbit_lattice_of_theta_covee_is_the_coroot_lattice(name):
     # the paper's M is the span of the Weyl orbit of theta^v; RootSystem takes
     # it to be Q^v (simple-coroot basis), with M* spanned by nu^-1(Lambda_j)
     rs = from_name(name)
-    orbit = {rs.highest_coroot}
-    frontier = [rs.highest_coroot]
+    orbit = {rs.comarks}  # theta^v in simple-coroot coordinates
+    frontier = [rs.comarks]
     while frontier:
         v = frontier.pop()
         for i in range(rs.rank):
@@ -371,7 +370,6 @@ def test_orbit_lattice_of_theta_covee_is_the_coroot_lattice(name):
                 frontier.append(w)
     assert all(type(x) is int for v in orbit for x in v)
     assert intlinalg.elementary_divisors([list(v) for v in sorted(orbit)]) == [1] * rs.rank
-    assert rs.lattice_M_basis == tuple(tuple(int(i == j) for j in range(rs.rank))
-                                       for i in range(rs.rank))
+    assert rs.gram_of_M() == rs.gram_coroots  # the basis of M is the simple coroots
     for j in range(rs.rank):
         assert rs.coroot_to_weight_space(rs.lattice_Mstar_basis[j]) == rs.fundamental_weight(j)
