@@ -75,6 +75,12 @@ DEFAULT_JOBS = (
     "char --series A --rank 2 --weight 1,1 --point 0,0",
     "char --series A --rank 2 --weight 1,1 --point 1,0",
     "char --series G --rank 2 --weight 2,1 --point 1/7,2/11",
+    # caps raised in the layers a subcommand loads itself (exit 2), and the
+    # lattice index over many levels and at E8
+    "fusion --series A --rank 3 --level 120",
+    "grid --series A --rank 2 --level 100000",
+    "roots --series A --rank 2 --level 60",
+    "roots --series E --rank 8 --level 3",
 )
 
 

@@ -27,11 +27,8 @@ from math import lcm
 from operator import add, mul
 
 from . import intlinalg, weyl
-from .rootdata import (RootSystem, TorusPoint, Weight, lattice_index,
-                       weights_at_level)
-
-GRID_SHIFTED = "shifted"
-GRID_FULL = "full"
+from .rootdata import (GRID_FULL, GRID_SHIFTED, RootSystem, TorusPoint, Weight,
+                       lattice_index, weights_at_level)
 
 
 class SingularPointError(ValueError):

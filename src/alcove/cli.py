@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 CSV, a lossy export with complex entries rendered as "re+imi" strings.  Each
 subcommand takes only the flags it reads: the suites live in alcove.verify, and
 --tolerance, --seed and --samples are options of `verify` only.
+Each handler imports only the layers it runs: without bytecode a job compiles all it imports.
 Identical configurations produce byte-identical artifacts.
 """
 
@@ -21,7 +22,7 @@ try:  # json's C string escaper, without importing json itself (about 2 ms per p
 except ImportError:  # an interpreter without the C accelerator
     from json.encoder import encode_basestring_ascii as _quote
 
-from . import chareval, conventions, rootdata, stabilizers, verify, verlinde, weyl
+from . import rootdata, weyl
 from .rootdata import ConfigurationError, TorusPoint
 
 EXIT_OK = 0
@@ -150,6 +151,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 
 def cmd_faces(args: argparse.Namespace) -> int:
+    from . import stabilizers
     rs = rootdata.build_root_system(args.series, args.rank)
     rows = []
     for walls, fd in stabilizers.enumerate_faces(rs):
@@ -169,6 +171,7 @@ def cmd_faces(args: argparse.Namespace) -> int:
 
 
 def cmd_char(args: argparse.Namespace) -> int:
+    from . import chareval
     rs = rootdata.build_root_system(args.series, args.rank)
     lam = _parse_weight(rs, args.weight)
     x = _parse_point(rs, args.point)
@@ -180,6 +183,7 @@ def cmd_char(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
+    from . import conventions
     rs = rootdata.build_root_system(args.series, args.rank)
     table = conventions.character_table(rs, args.level, args.grid)
     lams, rows = table.weights, table.values
@@ -205,6 +209,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_fusion(args: argparse.Namespace) -> int:
+    from . import verlinde
     rs = rootdata.build_root_system(args.series, args.rank)
     try:
         if args.pair:
@@ -240,6 +245,7 @@ def cmd_fusion(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import conventions, verify, verlinde
     if args.tolerance is not None and not (args.tolerance > 0 and isfinite(args.tolerance)):
         raise ConfigurationError("tolerance must be positive and finite")
     if args.samples <= 0:
@@ -269,7 +275,7 @@ def _add_common(p: argparse.ArgumentParser, run, required: bool = True, level: b
     if level:
         p.add_argument("--level", type=int, default=1)
     if grid:
-        p.add_argument("--grid", choices=[chareval.GRID_SHIFTED, chareval.GRID_FULL], default=None)
+        p.add_argument("--grid", choices=[rootdata.GRID_SHIFTED, rootdata.GRID_FULL], default=None)
     p.add_argument("--format", choices=["json", "csv"] if csv else ["json"], default="json",
                    dest="fmt")
     p.add_argument("--out", default=None)
@@ -294,9 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = _add_common(sub.add_parser("verify"), cmd_verify, required=False)
     p_verify.add_argument("--tolerance", type=float, default=None,
                           help="override the sampled, orthogonality and levelshift tolerances")
-    defaults = verify.Settings._field_defaults
-    p_verify.add_argument("--seed", type=int, default=defaults["seed"])
-    p_verify.add_argument("--samples", type=int, default=defaults["samples"])
+    p_verify.add_argument("--seed", type=int, default=rootdata.DEFAULT_SEED)
+    p_verify.add_argument("--samples", type=int, default=rootdata.DEFAULT_SAMPLES)
     return parser
 
 

@@ -31,8 +31,8 @@ from functools import lru_cache
 from operator import mul
 
 from . import chareval
-from .chareval import GRID_FULL, GRID_SHIFTED
-from .rootdata import RootSystem, count_weights_at_level, lattice_index, weights_at_level
+from .rootdata import (GRID_FULL, GRID_SHIFTED, RootSystem, count_weights_at_level,
+                       lattice_index, weights_at_level)
 from .weyl import ResourceError, weyl_order
 
 # Cap on (weights + 1) * points * |W|, the orbit terms a character table sums,

@@ -13,8 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import chareval, conventions, weyl
-from .chareval import GRID_FULL
-from .rootdata import RootSystem, TorusPoint, Weight
+from .rootdata import GRID_FULL, RootSystem, TorusPoint, Weight
 
 PRIME_DENOMINATORS = tuple(p for p in range(101, 500) if all(p % q for q in range(2, 23)))
 

@@ -32,8 +32,12 @@ SERIES_RANKS = {
 # stop far below it.
 MAX_RANK = 20
 # Level cap of the CLI, checked before any work that grows with the level: `roots`
-# takes about 4 s at it, and the table caps refuse far lower levels.
+# takes up to about 1.5 s at it (A20), and the table caps refuse far lower levels.
 MAX_LEVEL = 100_000
+# The grid modes and the `verify` seed and sample count, read by the CLI parser
+# without loading the layers that use them.
+GRID_SHIFTED, GRID_FULL = "shifted", "full"
+DEFAULT_SEED, DEFAULT_SAMPLES = 2024, 100
 
 
 class ConfigurationError(ValueError):
@@ -305,16 +309,22 @@ def inner(rs: RootSystem, a: Weight, b: Weight) -> Fraction:
 
 
 def lattice_index(rs: RootSystem, k: int) -> int:
-    """Order of M*/(k+h^v)M, via Smith normal form.
+    """Order of M*/(k+h^v)M: (k+h^v)^rank times the order of M*/M.
 
     M = Q^v and nu(M*) = P, so the change-of-basis matrix of (k+h^v) * (simple
     coroots) in the basis nu^-1(Lambda_j) of M* is the integer matrix
-    (k+h^v) * gram_of_M().
+    (k+h^v) * gram_of_M(), whose elementary divisors are k+h^v times those of
+    gram_of_M().
     """
     if k < 0:
         raise ConfigurationError("level must be nonnegative")
-    n = k + rs.dual_coxeter
-    return prod(intlinalg.elementary_divisors([[n * v for v in row] for row in rs.gram_of_M()]))
+    return (k + rs.dual_coxeter) ** rs.rank * _index_of_M(rs)
+
+
+@lru_cache(maxsize=None)
+def _index_of_M(rs: RootSystem) -> int:
+    """Order of M*/M: the product of the elementary divisors of gram_of_M()."""
+    return prod(intlinalg.elementary_divisors(rs.gram_of_M()))
 
 
 def weights_at_level(rs: RootSystem, k: int) -> list[Weight]:

@@ -21,7 +21,8 @@ MAX_DRAWS_PER_SAMPLE = 10
 
 
 class Settings(namedtuple("Settings", "level grid_mode tolerance seed samples",
-                          defaults=(1, None, None, 2024, 100))):
+                          defaults=(1, None, None, rootdata.DEFAULT_SEED,
+                                    rootdata.DEFAULT_SAMPLES))):
     """One verify run's choices; tolerance None keeps every suite's default."""
 
     __slots__ = ()

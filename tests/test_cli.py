@@ -340,6 +340,32 @@ def test_cli_import_skips_the_json_package():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+CLI_CORE = ["alcove", "alcove.cli", "alcove.intlinalg", "alcove.rootdata", "alcove.weyl"]
+
+
+@pytest.mark.parametrize("argv,layers", [
+    (None, []),
+    (["roots", "--series", "A", "--rank", "1"], []),
+    (["faces", "--series", "A", "--rank", "2"], ["stabilizers"]),
+    (["char", "--series", "A", "--rank", "1", "--weight", "1", "--point", "1/3"], ["chareval"]),
+    (["grid", "--series", "A", "--rank", "1"], ["chareval", "conventions"]),
+    (["fusion", "--series", "A", "--rank", "1"], ["chareval", "conventions", "verlinde"]),
+    (["verify", "--series", "A", "--rank", "1", "--samples", "2"],
+     ["chareval", "conventions", "identities", "levelshift", "stabilizers", "verify",
+      "verlinde"]),
+])
+def test_each_subcommand_loads_only_the_layers_it_runs(argv, layers, tmp_path):
+    """Start-up cost: every job compiles what it imports, so a subcommand imports its own layers."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = ["--out", str(tmp_path / "out.json")]
+    run_it = "" if argv is None else f"assert cli.main({argv + out!r}) == 0; "
+    probe = (f"import sys; sys.path.insert(0, {src!r}); from alcove import cli; {run_it}"
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'alcove'))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
+    loaded = sorted(CLI_CORE + [f"alcove.{name}" for name in layers])
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{loaded}\n", "")
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_nonpositive_samples_rejected(capsys, samples):
     code, out, err = run(capsys, "verify", "--samples", samples, "--level", "1")

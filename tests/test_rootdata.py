@@ -1,12 +1,13 @@
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from alcove import rootdata
+from alcove import intlinalg, rootdata
 from alcove.rootdata import ConfigurationError, build_root_system, from_name, inner
 
 SYSTEMS = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"]
@@ -128,6 +129,16 @@ def test_lattice_index_homothety_scaling(name):
     m_over = base // hv ** rs.rank
     for k in range(4):
         assert rootdata.lattice_index(rs, k) == (k + hv) ** rs.rank * m_over
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_lattice_index_is_the_smith_form_at_every_level(name):
+    """One cached Smith form per system gives the divisor product of (k+h^v) * gram_of_M()."""
+    rs = from_name(name)
+    for k in range(21):
+        n = k + rs.dual_coxeter
+        scaled = [[n * v for v in row] for row in rs.gram_of_M()]
+        assert rootdata.lattice_index(rs, k) == prod(intlinalg.elementary_divisors(scaled))
 
 
 @pytest.mark.parametrize("name,k", [("A1", 1), ("A1", 2), ("A1", 3), ("A2", 1),
