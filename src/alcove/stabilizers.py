@@ -178,11 +178,12 @@ def rho_shift(rs: RootSystem, fd: FaceData, w: WeylElement) -> RhoShift:
 def lattice_phase_check(rs: RootSystem, fd: FaceData, k: int, t, require_lattice: bool = True) -> bool:
     """Exact phase law on the lattice M*/(k+h^v).
 
-    For every v in the finite copy of the stabilizer, the angle
-    <(v(k mu) - k mu) + (v(rho) - rho) - (v(rho_mu) - rho_mu), t> must be an
-    integer; phases are compared as rationals mod 1, never as floats.  The
-    combination collapses to -(k+h^v) nu(u), u being the translation of v's
-    affine counterpart, which pairs integrally with M*/(k+h^v).
+    For every v in the finite copy of the stabilizer, the angle <v(x) - x, t>
+    with x = k mu + rho - rho_mu must be an integer; W is linear, so v(x) - x
+    is (v(k mu) - k mu) + (v(rho) - rho) - (v(rho_mu) - rho_mu).  Phases are
+    compared as rationals mod 1, never as floats.  v(x) - x collapses to
+    -(k+h^v) nu(u), u being the translation of v's affine counterpart, which
+    pairs integrally with M*/(k+h^v).
 
     require_lattice=False skips the membership validation so that off-lattice
     probe points can demonstrate the law failing.
@@ -197,10 +198,9 @@ def lattice_phase_check(rs: RootSystem, fd: FaceData, k: int, t, require_lattice
 
 @lru_cache(maxsize=None)
 def _phase_shifts(rs: RootSystem, fd: FaceData, k: int) -> tuple[Weight, ...]:
-    """(v(k mu) - k mu) + (v(rho) - rho) - (v(rho_mu) - rho_mu) for each v in W_mu (cached)."""
-    kmu = fd.mu.mu_star.scale(k)
-    return tuple((weyl.act(v, kmu) - kmu) + (weyl.act(v, rs.rho) - rs.rho)
-                 - (weyl.act(v, fd.rho_mu) - fd.rho_mu) for v, _ in stabilizer_subgroup(rs, fd))
+    """v(x) - x with x = k mu + rho - rho_mu, for each v in W_mu (cached)."""
+    x = fd.mu.mu_star.scale(k) + rs.rho - fd.rho_mu
+    return tuple(weyl.act(v, x) - x for v, _ in stabilizer_subgroup(rs, fd))
 
 
 @lru_cache(maxsize=None)

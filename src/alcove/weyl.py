@@ -13,7 +13,8 @@ skeleton on a; s_i(u) = u - u_i alpha_i changes only the coordinates on the
 support of alpha_i, so each image costs O(rank).  iter_weyl replays it on the
 matrices (column j of w is w(Lambda_j)), rebuilding only the rows on that
 support, and yields the elements one at a time while holding only the last
-two word lengths; enumerate_weyl is its cached tuple.
+two word lengths; enumerate_weyl is its cached tuple.  Every descent is fold:
+integer coordinates reflected in the lowest violated wall, O(rank) per step.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import lcm
 
 from . import intlinalg
 from .rootdata import RootSystem, TorusPoint, Weight
@@ -104,9 +106,9 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 
 
 def reflection_in_root(rs: RootSystem, root: Weight) -> WeylElement:
-    """Reflection in an arbitrary root, with a reduced word found by descent."""
+    """Reflection in an arbitrary root; its reduced word is the fold of s_beta(rho), reversed."""
     w = _reflection(rs, root, ())
-    return WeylElement(w.action, -1, _descent_word(rs, w))
+    return w._replace(word=fold(rs, map(sum, w.action))[0][::-1])  # row sums = s_beta(rho)
 
 
 def _reflection(rs: RootSystem, root: Weight, word) -> WeylElement:
@@ -114,17 +116,6 @@ def _reflection(rs: RootSystem, root: Weight, word) -> WeylElement:
     n, covec = rs.rank, rs.coroot_of(root)          # coroot coordinates of root^v
     return WeylElement(tuple(tuple(int(Fraction(k == j) - root.coords[k] * covec[j])
                                    for j in range(n)) for k in range(n)), -1, word)
-
-
-def _descent_word(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
-    """Greedy descent: repeatedly strip a simple reflection that shortens w."""
-    applied: list[int] = []
-    while not w.is_identity:
-        i = next(i for i in range(rs.rank)
-                 if all(x <= 0 for x in rs.root_coords(act(w, rs.simple_root(i)))))
-        applied.append(i)
-        w = w * simple_reflection(rs, i)
-    return tuple(reversed(applied))
 
 
 def act(w: WeylElement, a: Weight) -> Weight:
@@ -264,13 +255,31 @@ def weyl_order(rs: RootSystem) -> int:
 
 
 def longest_element(rs: RootSystem) -> WeylElement:
-    """Walk -rho back to the dominant chamber; reversing the walk gives w_L."""
-    v, w = -rs.rho, identity_element(rs)
-    while (i := next((i for i in range(rs.rank) if v.coords[i] < 0), None)) is not None:
-        v = act(simple_reflection(rs, i), v)
-        w = w * simple_reflection(rs, i)
+    """Fold -rho back to the dominant chamber; the walls, in order, are a reduced word for w_L."""
+    walls, _ = fold(rs, (-1,) * rs.rank)
+    w = reduce(WeylElement.__mul__, [simple_reflection(rs, i) for i in walls], identity_element(rs))
     assert all(not act(w, beta).is_dominant for beta in rs.positive_roots)
     return w
+
+
+def fold(rs: RootSystem, a, n: int | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Fold integer fundamental-weight coordinates a into the dominant chamber or level-n alcove.
+
+    Each O(rank) step reflects in the lowest violated wall: alpha_i while a_i < 0, then the
+    affine wall (theta|a) = n, named rank in walls.  Sign (-1)^len(walls); image may lie on a wall.
+    """
+    a, walls = list(a), []
+    while True:
+        i = next((i for i, c in enumerate(a) if c < 0), None)
+        if i is not None:  # s_i(a) = a - a_i alpha_i; column i of the Cartan matrix is alpha_i
+            a = [c - a[i] * row[i] for c, row in zip(a, rs.cartan)]
+        elif n is not None and (p := sum(m * c for m, c in zip(rs.comarks, a))) > n:
+            if n < 1:
+                raise ValueError("affine action needs a positive level")
+            a, i = [c - (p - n) * int(t) for c, t in zip(a, rs.highest_root.coords)], rs.rank
+        else:
+            return tuple(walls), tuple(a)
+        walls.append(i)
 
 
 # -- affine action -----------------------------------------------------------
@@ -303,23 +312,18 @@ def alcove_certificate(rs: RootSystem, k: int, x: TorusPoint) -> tuple[Fraction,
 
 
 def find_alcove(rs: RootSystem, k: int, x: TorusPoint) -> tuple[AffineWeylElement, AlcovePoint]:
-    """Reflect x through violated walls until it lands in the closed alcove kC.
+    """Fold x into the closed alcove kC: d x, d the lcm of x's denominators, folds at level d*k.
 
     Returns the group element g that was applied, so affine_act(rs, g, x, k)
     is the certified representative.
     """
-    g = identity_affine(rs)
-    current = x
-    r_theta = affine_reflection_theta(rs)
-    simples = [affine_from_finite(simple_reflection(rs, i), rs.rank) for i in range(rs.rank)]
-    while True:
-        cert = alcove_certificate(rs, k, current)
-        bad = next((i for i, p in enumerate(cert) if p < 0), None)
-        if bad is None:
-            return g, AlcovePoint(current, k, cert)
-        step = simples[bad] if bad < rs.rank else r_theta
-        g = step * g
-        current = affine_act(rs, step, current, k)
+    d = lcm(*(c.denominator for c in x.mu_star.coords))
+    walls, image = fold(rs, (int(c * d) for c in x.mu_star.coords), d * k)
+    steps = [affine_from_finite(simple_reflection(rs, i), rs.rank) for i in range(rs.rank)]
+    steps.append(affine_reflection_theta(rs))
+    g = reduce(lambda g, i: steps[i] * g, walls, identity_affine(rs))
+    point = TorusPoint(Weight(tuple(Fraction(c, d) for c in image)))
+    return g, AlcovePoint(point, k, alcove_certificate(rs, k, point))
 
 
 def factor_affine(rs: RootSystem, w_aff: AffineWeylElement, w_fin: WeylElement) -> tuple[int, ...]:

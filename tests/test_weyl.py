@@ -1,10 +1,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -32,6 +33,54 @@ def reference_enumeration(rs):
                     nxt.append(u)
         frontier = nxt
     return sorted(seen.values(), key=lambda w: (len(w.word), w.word))
+
+
+@lru_cache(maxsize=None)
+def descent_data(rs):
+    """The negative roots, and (alpha_i, s_i) for each i, in integer coordinates."""
+    negative = {tuple(-int(c) for c in beta.coords) for beta in rs.positive_roots}
+    return negative, [(tuple(row[i] for row in rs.cartan), weyl.simple_reflection(rs, i))
+                      for i in range(rs.rank)]
+
+
+def reference_descent_word(rs, w):
+    """Greedy right descent: strip the lowest s_i with w(alpha_i) negative, then reverse.
+
+    Negativity is read as membership in the negative roots, on integer coordinates.
+    """
+    negative, simples = descent_data(rs)
+    applied = []
+    while not w.is_identity:
+        i = next(i for i, (alpha, _) in enumerate(simples)
+                 if intlinalg.mat_vec(w.action, alpha) in negative)
+        applied.append(i)
+        w = w * simples[i][1]
+    return tuple(reversed(applied))
+
+
+def reference_reflection(rs, beta):
+    """s_beta through the form: column j is Lambda_j - 2 (Lambda_j|beta)/(beta|beta) beta."""
+    norm = inner(rs, beta, beta)  # (Lambda_j|beta) is row j of the weight Gram matrix times beta
+    cols = [rs.fundamental_weight(j) - beta.scale(2 * x / norm)
+            for j, x in enumerate(intlinalg.mat_vec(rs.gram_weights, beta.coords))]
+    w = weyl.WeylElement(tuple(zip(*(tuple(int(c) for c in col.coords) for col in cols))), -1, ())
+    return w._replace(word=reference_descent_word(rs, w))
+
+
+def reference_find_alcove(rs, k, x):
+    """The Fraction loop: reflect in the lowest negative certificate entry until none is left."""
+    g, current = weyl.identity_affine(rs), x
+    r_theta = weyl.affine_reflection_theta(rs)
+    simples = [weyl.affine_from_finite(weyl.simple_reflection(rs, i), rs.rank)
+               for i in range(rs.rank)]
+    while True:
+        cert = weyl.alcove_certificate(rs, k, current)
+        bad = next((i for i, p in enumerate(cert) if p < 0), None)
+        if bad is None:
+            return g, weyl.AlcovePoint(current, k, cert)
+        step = simples[bad] if bad < rs.rank else r_theta
+        g = step * g
+        current = weyl.affine_act(rs, step, current, k)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3",
@@ -303,6 +352,83 @@ def test_find_alcove_representative_is_orbit_invariant(coords, widx, trans):
     moved = weyl.affine_act(rs, h, x, 2)
     _, ap2 = weyl.find_alcove(rs, 2, moved)
     assert ap2.point == ap.point
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["A2", "B2", "G2", "B3"]), st.integers(1, 3),
+       st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=23),
+                min_size=3, max_size=3))
+def test_find_alcove_equals_fraction_loop_reference(name, k, coords):
+    rs = from_name(name)
+    x = TorusPoint(rs.weight_from_coords(coords[:rs.rank]))
+    assert weyl.find_alcove(rs, k, x) == reference_find_alcove(rs, k, x)
+
+
+@pytest.mark.parametrize("name", ["A1", "B2", "G2", "B3"])
+def test_find_alcove_at_level_zero_fixes_the_origin(name):
+    rs = from_name(name)
+    origin = TorusPoint(rs.zero_weight())
+    g, ap = weyl.find_alcove(rs, 0, origin)
+    assert g.is_identity and ap == weyl.AlcovePoint(origin, 0, (0,) * (rs.rank + 1))
+    assert weyl.fold(rs, (0,) * rs.rank, 0) == ((), (0,) * rs.rank)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["A1", "B2", "G2", "B3"]), st.integers(-3, 0),
+       st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=23),
+                min_size=3, max_size=3))
+def test_nonpositive_level_raises_instead_of_looping(name, k, coords):
+    # x != 0 at k = 0, or any x at k < 0, reaches the affine wall, where fold refuses
+    rs = from_name(name)
+    x = TorusPoint(rs.weight_from_coords(coords[:rs.rank]))
+    assume(k < 0 or not x.is_zero)
+    with pytest.raises(ValueError, match="affine action needs a positive level"):
+        weyl.find_alcove(rs, k, x)
+
+
+UP_TO_RANK_6 = ([f"A{r}" for r in range(1, 7)] + [f"B{r}" for r in range(2, 7)]
+                + [f"C{r}" for r in range(2, 7)] + ["D4", "D5", "D6", "E6", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", UP_TO_RANK_6)
+def test_reflection_in_root_equals_greedy_descent_reference(name):
+    rs = from_name(name)
+    for beta in rs.positive_roots:
+        expected = reference_reflection(rs, beta)
+        assert weyl.reflection_in_root(rs, beta) == expected
+        assert weyl.reflection_in_root(rs, -beta) == expected
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_folded_words_are_reduced_on_e7_and_e8(name):
+    # len(word) = #{positive roots sent negative} = length of w, and the word spells w:
+    # applied to rho (regular) letter by letter it gives w(rho), the row sums of w
+    rs = from_name(name)
+    positive = [tuple(int(c) for c in beta.coords) for beta in rs.positive_roots]
+    negative = {tuple(-c for c in beta) for beta in positive}
+
+    def check(w):
+        inversions = sum(intlinalg.mat_vec(w.action, beta) in negative for beta in positive)
+        assert len(w.word) == inversions
+        u = (1,) * rs.rank
+        for i in reversed(w.word):
+            u = tuple(c - u[i] * row[i] for c, row in zip(u, rs.cartan))
+        assert u == tuple(map(sum, w.action))
+
+    for beta in rs.positive_roots:
+        check(weyl.reflection_in_root(rs, beta))
+    w_long = weyl.longest_element(rs)
+    check(w_long)
+    assert len(w_long.word) == len(positive)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3"])
+def test_fold_undoes_the_orbit_with_its_sign(name):
+    rs = from_name(name)
+    lam = tuple(range(1, rs.rank + 1))
+    for sign, u in weyl.orbit(rs, lam):
+        walls, image = weyl.fold(rs, u)
+        assert image == lam and (-1) ** len(walls) == sign
 
 
 def test_factor_affine_contracts():
