@@ -2,9 +2,9 @@
 
 Every exponential of an integral weight at a rational point is a root of
 unity, evaluated on an exact integer residue mod N, never on a float angle.
-With D the lcm of the denominators of gram_weights and G = D * gram_weights,
-a point x = y / m (y integral in fundamental-weight coordinates) has N = D * m
-and v = G y, so (a | x) = (a . v) / N for the integer row a of an integral
+With (D, G) = rs.nu_inverse, the integer nu^-1 (G / D = gram_weights), a point
+x = y / m (y integral in fundamental-weight coordinates) has N = D * m and
+v = G y, so (a | x) = (a . v) / N for the integer row a of an integral
 weight; phase(r, N) = exp(2 pi i (r mod N) / N).  residues(rs, x) takes m = d_x,
 the lcm of the denominators of x; a level-k grid takes m = k + h^v at every
 point, so one N and one phase table serve it.  r / N is the same double for any
@@ -37,16 +37,9 @@ class SingularPointError(ValueError):
 
 # -- integer residue kernel -----------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _integer_gram(rs: RootSystem):
-    """(D, G): D the lcm of the gram_weights denominators, G = D * gram_weights."""
-    d = lcm(*(c.denominator for row in rs.gram_weights for c in row))
-    return d, tuple(tuple(int(c * d) for c in row) for row in rs.gram_weights)
-
-
 def residues(rs: RootSystem, x: TorusPoint) -> tuple[int, list[int]]:
     """(N, v) with (a | x) = (a . v) / N exactly for the integer row a of every integral weight."""
-    d, gram = _integer_gram(rs)
+    d, gram = rs.nu_inverse
     dx = lcm(*(c.denominator for c in x.mu_star.coords))
     scaled = [int(c * dx) for c in x.mu_star.coords]
     return d * dx, [sum(map(mul, row, scaled)) for row in gram]
@@ -104,7 +97,7 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     """prod over alpha > 0 of (lam + rho | alpha) / (rho | alpha), in integers."""
     if not lam.is_integral:
         raise ValueError("the dimension formula needs an integral weight")
-    _, gram = _integer_gram(rs)
+    _, gram = rs.nu_inverse
     shifted = [int(c) + 1 for c in lam.coords]
     num = den = 1
     for beta in root_rows(rs):
@@ -170,7 +163,7 @@ def grid_columns(rs: RootSystem, k: int, lams, mode: str = GRID_SHIFTED):
     The point y / (k+h^v) has the residues N = D (k+h^v) and v = G y, so one
     modulus, phase table and orbit per weight serve the grid, as in characters().
     """
-    d, gram = _integer_gram(rs)
+    d, gram = rs.nu_inverse
     at = _point_columns(rs, lams, d * (k + rs.dual_coxeter))
     for label, y, point in _grid(rs, k, mode):
         yield (label, point, *at([sum(map(mul, row, y)) for row in gram]))
@@ -216,13 +209,13 @@ def _grid(rs: RootSystem, k: int, mode: str) -> list:
     (k+h^v)M has the integer matrix (k+h^v) * gram_of_M() in the basis
     nu^-1(Lambda_j) of M*.  With u x v = d its Smith form, the representatives
     have M* coordinates y = u^-1 c, 0 <= c_i < d_i, and are labeled by y in
-    coroot coordinates, gram_weights y.
+    coroot coordinates, nu^-1(y) = G y / D.
     """
     n = k + rs.dual_coxeter
     if mode == GRID_SHIFTED:
         labeled = [(lam, [int(c) + 1 for c in lam.coords]) for lam in weights_at_level(rs, k)]
     elif mode == GRID_FULL:
-        d, gram = _integer_gram(rs)
+        d, gram = rs.nu_inverse
         u, diag, _ = intlinalg.smith_normal_form([[n * g for g in row] for row in rs.gram_of_M()])
         u_inv = [[int(c) for c in row] for row in intlinalg.mat_inverse(intlinalg.frac_matrix(u))]
         ys = [[sum(map(mul, row, c)) for row in u_inv]

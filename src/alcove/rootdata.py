@@ -1,10 +1,11 @@
 """Static data of a simple root system, normalized so (theta|theta) = 2.
 
-All arithmetic is exact rational.  A weight is stored once, in
-fundamental-weight coordinates; its simple-root coordinates are derived on
-demand (RootSystem.root_coords).  Coroots live in simple-coroot coordinates,
-and every derived quantity (Gram matrices, marks, lattices) is computed from
-the Cartan matrix alone.
+All arithmetic is exact.  A weight is stored once, in fundamental-weight
+coordinates; its simple-root coordinates are derived on demand (root_coords).
+Coroots live in simple-coroot coordinates, and every derived quantity is
+computed from the Cartan matrix alone.  The library reads nu in integers,
+nu(v) = gram_of_M() v and nu^-1(lam) = G lam / D with (D, G) = nu_inverse;
+coroot_of, coroot_to_weight_space and gram_weights are Fraction references.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 
 from . import intlinalg
 from .intlinalg import Mat
@@ -195,6 +196,8 @@ class RootSystem:
         # (alpha_i^v | alpha_j^v) = cartan[i][j] / d_j
         self.gram_coroots: Mat = [[Fraction(self.cartan[i][j]) / self.symmetrizers[j]
                                    for j in range(rank)] for i in range(rank)]
+        den = lcm(*(c.denominator for row in self.gram_weights for c in row))  # nu^-1 = G / D
+        self.nu_inverse = (den, tuple(tuple(int(c * den) for c in row) for row in self.gram_weights))
 
         self.positive_roots = tuple(self.weight_from_root_coords(rc) for rc in pos)
         self.highest_root = self.weight_from_root_coords(theta_rc)
@@ -245,10 +248,6 @@ class RootSystem:
         norm = inner(self, root, root)
         rc = self.root_coords(root)
         return tuple(rc[j] * self.symmetrizers[j] * 2 / norm for j in range(self.rank))
-
-    def pairing_with_coroot_vector(self, lam: Weight, coroot_coords) -> Fraction:
-        """<lam, t> for t given in simple-coroot coordinates."""
-        return sum(c * Fraction(t) for c, t in zip(lam.coords, coroot_coords))
 
     # -- lattices ------------------------------------------------------------
 

@@ -14,7 +14,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import prod
+from math import lcm, prod
+from operator import mul
 
 from . import intlinalg, weyl
 from .rootdata import RootSystem, TorusPoint, Weight, _positive_root_closure
@@ -120,32 +121,22 @@ def enumerate_faces(rs: RootSystem) -> list[tuple[frozenset, FaceData]]:
 
 # -- stabilizer subgroup and the rho-shift laws --------------------------------
 
-def _lift(rs: RootSystem, fd: FaceData, w: WeylElement) -> AffineWeylElement:
-    """(w, nu^-1(mu - w mu)): the unique affine element over w that fixes mu at level 1."""
-    shift = fd.mu.mu_star - weyl.act(w, fd.mu.mu_star)
-    translation = intlinalg.mat_vec(rs.gram_weights, shift.coords)  # nu^-1, in coroot coordinates
-    assert intlinalg.is_integral(translation)
-    return AffineWeylElement(w, tuple(int(t) for t in translation))
-
-
 def stabilizer_generators(rs: RootSystem, fd: FaceData) -> list[tuple[str, WeylElement, AffineWeylElement]]:
     """Generator triples (label, s_gamma, its lift), one per realized simple root gamma.
 
-    The lift of w is (w, nu^-1(mu - w mu)), with the translation in simple-coroot
-    coordinates: the plain reflection for alpha_i, and for the wall root -theta
-    (s_{-theta} = s_theta) the reflection through (theta|x) = 1.
+    The lift of w is weyl.lift(rs, w, mu, mu, 1): the plain reflection for alpha_i,
+    and for the wall root -theta (s_{-theta} = s_theta) the reflection through (theta|x) = 1.
     """
     gens = [weyl.reflection_in_root(rs, gamma) for gamma in fd.realized_simple_roots]
-    return [(label, w, _lift(rs, fd, w)) for label, w in zip(fd.labels, gens)]
+    return [(label, w, weyl.lift(rs, w, fd.mu, fd.mu, 1)) for label, w in zip(fd.labels, gens)]
 
 
 @lru_cache(maxsize=None)
 def stabilizer_subgroup(rs: RootSystem, fd: FaceData) -> tuple[tuple[WeylElement, AffineWeylElement], ...]:
     """W_mu as pairs (w, lift of w), sorted by word length then word (cached).
 
-    The finite reflections s_gamma are closed under left multiplication, and
-    each element w is lifted to (w, nu^-1(mu - w mu)), the unique affine
-    element over w that fixes mu at level 1.
+    The finite reflections s_gamma are closed under left multiplication, and each
+    element w is lifted to weyl.lift(rs, w, mu, mu, 1), the one over w fixing mu at level 1.
     """
     gens = [w for _, w, _ in stabilizer_generators(rs, fd)]
     group = [weyl.identity_element(rs)]
@@ -157,7 +148,7 @@ def stabilizer_subgroup(rs: RootSystem, fd: FaceData) -> tuple[tuple[WeylElement
                 seen.add(u.action)
                 group.append(u)
     group.sort(key=lambda w: (len(w.word), w.word))
-    return tuple((w, _lift(rs, fd, w)) for w in group)
+    return tuple((w, weyl.lift(rs, w, fd.mu, fd.mu, 1)) for w in group)
 
 
 def rho_shift(rs: RootSystem, fd: FaceData, w: WeylElement) -> RhoShift:
@@ -180,27 +171,30 @@ def lattice_phase_check(rs: RootSystem, fd: FaceData, k: int, t, require_lattice
 
     For every v in the finite copy of the stabilizer, the angle <v(x) - x, t>
     with x = k mu + rho - rho_mu must be an integer; W is linear, so v(x) - x
-    is (v(k mu) - k mu) + (v(rho) - rho) - (v(rho_mu) - rho_mu).  Phases are
-    compared as rationals mod 1, never as floats.  v(x) - x collapses to
-    -(k+h^v) nu(u), u being the translation of v's affine counterpart, which
-    pairs integrally with M*/(k+h^v).
+    is (v(k mu) - k mu) + (v(rho) - rho) - (v(rho_mu) - rho_mu).  With x = a / m
+    and t = c / e, m e must divide (v(a) - a) . c: integers, never floats.  v(x) - x
+    collapses to -(k+h^v) nu(u), u being the translation of v's affine
+    counterpart, which pairs integrally with M*/(k+h^v).
 
     require_lattice=False skips the membership validation so that off-lattice
     probe points can demonstrate the law failing.
     """
-    n = k + rs.dual_coxeter
-    scaled = tuple(n * Fraction(x) for x in t)
-    if require_lattice and not rs.in_lattice_Mstar(scaled):
+    t = [Fraction(x) for x in t]
+    if require_lattice and not rs.in_lattice_Mstar([(k + rs.dual_coxeter) * x for x in t]):
         raise DomainError("t is not of the form m/(k+h^v) with m in M*")
-    return all(rs.pairing_with_coroot_vector(shift, t).denominator == 1
-               for shift in _phase_shifts(rs, fd, k))
+    (m, shifts), e = _phase_shifts(rs, fd, k), lcm(*(x.denominator for x in t))
+    c = [int(x * e) for x in t]
+    return all(sum(map(mul, shift, c)) % (m * e) == 0 for shift in shifts)
 
 
 @lru_cache(maxsize=None)
-def _phase_shifts(rs: RootSystem, fd: FaceData, k: int) -> tuple[Weight, ...]:
-    """v(x) - x with x = k mu + rho - rho_mu, for each v in W_mu (cached)."""
-    x = fd.mu.mu_star.scale(k) + rs.rho - fd.rho_mu
-    return tuple(weyl.act(v, x) - x for v, _ in stabilizer_subgroup(rs, fd))
+def _phase_shifts(rs: RootSystem, fd: FaceData, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(m, v(a) - a for each v in W_mu), with k mu + rho - rho_mu = a / m, a integral (cached)."""
+    x = (fd.mu.mu_star.scale(k) + rs.rho - fd.rho_mu).coords
+    m = lcm(*(c.denominator for c in x))
+    a = [int(c * m) for c in x]
+    return m, tuple(tuple(sum(map(mul, row, a)) - ai for row, ai in zip(v.action, a))
+                    for v, _ in stabilizer_subgroup(rs, fd))
 
 
 @lru_cache(maxsize=None)

@@ -41,10 +41,10 @@ class FusionTable(namedtuple("FusionTable", "k weights max_residual dense")):
 
 
 def contragredient(rs: RootSystem, a: Weight) -> Weight:
-    """w_L(-a): the highest weight of the dual module."""
+    """w_L(-a), the highest weight of the dual module: -a folded into the dominant chamber."""
     if not a.is_dominant:
         raise ValueError("contragredient expects a dominant weight")
-    return weyl.act(weyl.longest_element(rs), -a)
+    return Weight(weyl.fold(rs, (-a).coords)[1])
 
 
 def synthesize(rs: RootSystem, k: int, multiplicities: dict[Weight, int],

@@ -4,7 +4,7 @@ A finite element is one integer matrix on fundamental-weight coordinates;
 its action on simple-coroot coordinates is derived from it, since W preserves
 the pairing <lam, v> = lam.coords . v.  Affine elements are (finite part,
 translation) pairs with the translation stored in simple-coroot coordinates.
-The level enters only when an element acts on a torus point.
+The level enters only in affine_act and lift, which read nu in integers.
 
 W is walked once, breadth-first by left multiplication with simple
 reflections, keyed by w(rho) (injective, as rho is regular), and cached as a
@@ -23,7 +23,8 @@ from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import lcm
+from math import factorial, lcm
+from operator import mul
 
 from . import intlinalg
 from .rootdata import RootSystem, TorusPoint, Weight
@@ -88,9 +89,8 @@ class AlcovePoint(namedtuple("AlcovePoint", "point level chamber_certificate")):
 
 
 def _mat_mul_int(a: IntMat, b: IntMat) -> IntMat:
-    n = len(a)
-    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n))
-                 for i in range(n))
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _identity_mat(n: int) -> IntMat:
@@ -112,10 +112,14 @@ def reflection_in_root(rs: RootSystem, root: Weight) -> WeylElement:
 
 
 def _reflection(rs: RootSystem, root: Weight, word) -> WeylElement:
-    """x -> x - <x, root^v> root on fundamental-weight coordinates."""
-    n, covec = rs.rank, rs.coroot_of(root)          # coroot coordinates of root^v
-    return WeylElement(tuple(tuple(int(Fraction(k == j) - root.coords[k] * covec[j])
-                                   for j in range(n)) for k in range(n)), -1, word)
+    """x -> x - <x, root^v> root on fundamental-weight coordinates; root^v = 2 G b / (b . G b)."""
+    if root not in rs.positive_roots and -root not in rs.positive_roots:
+        raise ValueError(f"{root} is not a root")
+    b = [int(c) for c in root.coords]  # the root's integer row; G b = D nu^-1(root)
+    gb = intlinalg.mat_vec(rs.nu_inverse[1], b)
+    covec = [2 * g // sum(map(mul, b, gb)) for g in gb]  # b . G b = D (root|root)
+    return WeylElement(tuple(tuple(e - bk * c for e, c in zip(row, covec))
+                             for row, bk in zip(_identity_mat(rs.rank), b)), -1, word)
 
 
 def act(w: WeylElement, a: Weight) -> Weight:
@@ -131,13 +135,11 @@ def _coroot_action(action: IntMat) -> IntMat:
 
 def act_on_coroot_coords(w: WeylElement, v) -> tuple:
     """w acting on a vector in simple-coroot coordinates."""
-    m = _coroot_action(w.action)
-    return tuple(sum(m[i][j] * v[j] for j in range(len(m))) for i in range(len(m)))
+    return intlinalg.mat_vec(_coroot_action(w.action), v)
 
 
 def order_formula(rs: RootSystem) -> int:
     """Classical group order: product of (degree) factors per series."""
-    from math import factorial
     l = rs.rank
     if rs.series == "A":
         return factorial(l + 1)
@@ -298,12 +300,23 @@ def affine_reflection_theta(rs: RootSystem) -> AffineWeylElement:
 
 
 def affine_act(rs: RootSystem, g: AffineWeylElement, x: TorusPoint, k: int) -> TorusPoint:
-    """Level-k action: finite part first, then translate by k * nu(translation)."""
+    """Level-k action: finite part first, then translate by k nu(t) = k gram_of_M() t."""
     if k < 1:
         raise ValueError("affine action needs a positive level")
-    moved = act(g.finite, x.mu_star)
-    shift = rs.coroot_to_weight_space(g.translation).scale(k)
-    return TorusPoint(moved + shift)
+    moved, shift = act(g.finite, x.mu_star).coords, intlinalg.mat_vec(rs.gram_of_M(), g.translation)
+    return TorusPoint(Weight(tuple(c + k * s for c, s in zip(moved, shift))))
+
+
+def lift(rs: RootSystem, w: WeylElement, x: TorusPoint, y: TorusPoint, k: int) -> AffineWeylElement:
+    """The affine element over w sending x to y at level k: translation nu^-1(y - w x) / k, in M."""
+    if k < 1:
+        raise ValueError("affine action needs a positive level")
+    (d, gram), m = rs.nu_inverse, lcm(*(c.denominator for c in x.mu_star.coords + y.mu_star.coords))
+    a, c = ([int(v * m) for v in p.mu_star.coords] for p in (x, y))
+    t = intlinalg.mat_vec(gram, [ci - sum(map(mul, row, a)) for ci, row in zip(c, w.action)])
+    if any(v % (d * m * k) for v in t):  # t = D m k * translation
+        raise MismatchError("nu^-1(y - w x) / k is not in the coroot lattice M = Q^v")
+    return AffineWeylElement(w, tuple(v // (d * m * k) for v in t))
 
 
 def alcove_certificate(rs: RootSystem, k: int, x: TorusPoint) -> tuple[Fraction, ...]:
@@ -314,15 +327,16 @@ def alcove_certificate(rs: RootSystem, k: int, x: TorusPoint) -> tuple[Fraction,
 def find_alcove(rs: RootSystem, k: int, x: TorusPoint) -> tuple[AffineWeylElement, AlcovePoint]:
     """Fold x into the closed alcove kC: d x, d the lcm of x's denominators, folds at level d*k.
 
-    Returns the group element g that was applied, so affine_act(rs, g, x, k)
-    is the certified representative.
+    Returns g, the lift over the crossed walls' finite reflections (last wall
+    leftmost), so affine_act(rs, g, x, k) is the certified representative.
     """
     d = lcm(*(c.denominator for c in x.mu_star.coords))
     walls, image = fold(rs, (int(c * d) for c in x.mu_star.coords), d * k)
-    steps = [affine_from_finite(simple_reflection(rs, i), rs.rank) for i in range(rs.rank)]
-    steps.append(affine_reflection_theta(rs))
-    g = reduce(lambda g, i: steps[i] * g, walls, identity_affine(rs))
     point = TorusPoint(Weight(tuple(Fraction(c, d) for c in image)))
+    steps = {i: simple_reflection(rs, i) if i < rs.rank else reflection_in_root(rs, rs.highest_root)
+             for i in set(walls)}  # the crossed walls' finite reflections; the affine wall is rank
+    w = reduce(lambda w, i: steps[i] * w, walls, identity_element(rs))
+    g = lift(rs, w, x, point, k) if walls else identity_affine(rs)  # k = 0 too, which lift refuses
     return g, AlcovePoint(point, k, alcove_certificate(rs, k, point))
 
 

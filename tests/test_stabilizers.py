@@ -165,7 +165,8 @@ def test_lattice_phase_shifts_are_computed_once_per_face_and_level(monkeypatch):
     rows = rs.lattice_Mstar_basis
     first = [stabilizers.lattice_phase_check(rs, fd, 1, tuple(Fraction(x, n) for x in rows[0]))
              for fd in faces]
-    monkeypatch.setattr(weyl, "act", None)  # every later probe reuses the cached shifts
+    # every later probe reuses the cached shifts: recomputing them would walk W_mu again
+    monkeypatch.setattr(stabilizers, "stabilizer_subgroup", None)
     for row in rows[1:]:
         assert all(stabilizers.lattice_phase_check(rs, fd, 1, tuple(Fraction(x, n) for x in row))
                    for fd in faces)
@@ -173,6 +174,31 @@ def test_lattice_phase_shifts_are_computed_once_per_face_and_level(monkeypatch):
     assert not all(stabilizers.lattice_phase_check(
         rs, fd, 1, tuple(Fraction(x, n + 1) for x in row), require_lattice=False)
         for fd in faces for row in rows)
+
+
+def test_library_reads_nu_in_integers_only(monkeypatch):
+    # the Fraction nu, coroot_of and coroot_to_weight_space, and gram_weights are test
+    # references; with all three made to fail, faces, lifts, alcoves and phases still run
+    def fraction_nu(*args):
+        raise AssertionError("the library read the Fraction nu")
+
+    monkeypatch.setattr(rootdata.RootSystem, "coroot_of", fraction_nu)
+    monkeypatch.setattr(rootdata.RootSystem, "coroot_to_weight_space", fraction_nu)
+    stabilizers.stabilizer_subgroup.cache_clear()
+    stabilizers._phase_shifts.cache_clear()
+    for rs in map(from_name, ["A2", "B2", "G2", "B3"]):
+        monkeypatch.setattr(rs, "gram_weights", None)
+        n = 1 + rs.dual_coxeter
+        for _, fd in enumerate_faces(rs):
+            for _, aff in stabilizers.stabilizer_subgroup(rs, fd):
+                assert weyl.affine_act(rs, aff, fd.mu, 1) == fd.mu
+            for _, fin, _ in stabilizers.stabilizer_generators(rs, fd):
+                stabilizers.rho_shift(rs, fd, fin)
+            assert all(stabilizers.lattice_phase_check(rs, fd, 1, tuple(Fraction(x, n) for x in row))
+                       for row in rs.lattice_Mstar_basis)
+        x = TorusPoint(rs.weight_from_coords([Fraction(7, 3)] + [Fraction(-5, 2)] * (rs.rank - 1)))
+        g, ap = weyl.find_alcove(rs, 2, x)
+        assert not g.is_identity and weyl.affine_act(rs, g, x, 2) == ap.point
 
 
 @pytest.mark.parametrize("name", FACE_SYSTEMS)
@@ -202,12 +228,15 @@ def test_a_series_has_trivial_n(name):
 
 
 def test_stabilizer_subgroup_is_closed_and_paired():
-    for rs in map(from_name, FACE_SYSTEMS):
+    for rs in map(from_name, ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4"]):
         for _, fd in enumerate_faces(rs):
             pairs = stabilizers.stabilizer_subgroup(rs, fd)
+            mu = fd.mu.mu_star
             for fin, aff in pairs:
-                # each lift fixes the face point at level 1 ...
+                # each lift fixes the face point at level 1, its translation is the
+                # Fraction reference nu^-1(mu - w mu) = gram_weights (mu - w mu) ...
                 assert weyl.affine_act(rs, aff, fd.mu, 1) == fd.mu
+                assert aff.translation == intlinalg.mat_vec(rs.gram_weights, (mu - weyl.act(fin, mu)).coords)
                 # ... and factors through its finite part with translation in M
                 assert rs.in_lattice_M(weyl.factor_affine(rs, aff, fin))
             # the affine parts hold the identity and are closed under left

@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -67,6 +68,11 @@ def reference_reflection(rs, beta):
     return w._replace(word=reference_descent_word(rs, w))
 
 
+def reference_affine_act(rs, g, x, k):
+    """The level-k action through the Fraction nu: w x + k coroot_to_weight_space(t)."""
+    return TorusPoint(weyl.act(g.finite, x.mu_star) + rs.coroot_to_weight_space(g.translation).scale(k))
+
+
 def reference_find_alcove(rs, k, x):
     """The Fraction loop: reflect in the lowest negative certificate entry until none is left."""
     g, current = weyl.identity_affine(rs), x
@@ -80,7 +86,7 @@ def reference_find_alcove(rs, k, x):
             return g, weyl.AlcovePoint(current, k, cert)
         step = simples[bad] if bad < rs.rank else r_theta
         g = step * g
-        current = weyl.affine_act(rs, step, current, k)
+        current = reference_affine_act(rs, step, current, k)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3",
@@ -355,13 +361,43 @@ def test_find_alcove_representative_is_orbit_invariant(coords, widx, trans):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["A2", "B2", "G2", "B3"]), st.integers(1, 3),
+@given(st.sampled_from(["A2", "B2", "G2", "B3", "D4", "F4"]), st.integers(1, 3),
        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=23),
-                min_size=3, max_size=3))
+                min_size=4, max_size=4))
 def test_find_alcove_equals_fraction_loop_reference(name, k, coords):
     rs = from_name(name)
     x = TorusPoint(rs.weight_from_coords(coords[:rs.rank]))
     assert weyl.find_alcove(rs, k, x) == reference_find_alcove(rs, k, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["A2", "B2", "G2", "B3", "C3", "D4", "F4"]), st.integers(1, 3),
+       st.integers(0, 10**6), st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=23),
+                min_size=4, max_size=4))
+def test_affine_act_and_lift_equal_the_fraction_nu(name, k, widx, trans, coords):
+    # affine_act reads nu(t) = gram_of_M() t; lift inverts it: the one element over w sending x to y
+    rs = from_name(name)
+    group = weyl.enumerate_weyl(rs)
+    g = weyl.AffineWeylElement(group[widx % len(group)], tuple(trans[:rs.rank]))
+    x = TorusPoint(rs.weight_from_coords(coords[:rs.rank]))
+    y = weyl.affine_act(rs, g, x, k)
+    assert y == reference_affine_act(rs, g, x, k)
+    assert weyl.lift(rs, g.finite, x, y, k) == g
+
+
+def test_lift_refuses_a_translation_off_the_coroot_lattice_and_a_nonpositive_level():
+    rs = from_name("A2")
+    ident, x = weyl.identity_element(rs), TorusPoint(rs.zero_weight())
+    # nu^-1(Lambda_0) = (2/3, 1/3) in simple coroots is not in Q^v; nu^-1(theta) = theta^v is
+    with pytest.raises(weyl.MismatchError):
+        weyl.lift(rs, ident, x, TorusPoint(rs.fundamental_weight(0)), 1)
+    assert weyl.lift(rs, ident, x, TorusPoint(rs.highest_root), 1).translation == rs.comarks
+    with pytest.raises(weyl.MismatchError):  # theta / 2 at level 2 needs translation theta^v / 4
+        weyl.lift(rs, ident, x, TorusPoint(rs.highest_root.scale(Fraction(1, 2))), 2)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="affine action needs a positive level"):
+            weyl.lift(rs, ident, x, x, k)
 
 
 @pytest.mark.parametrize("name", ["A1", "B2", "G2", "B3"])
@@ -397,6 +433,19 @@ def test_reflection_in_root_equals_greedy_descent_reference(name):
         expected = reference_reflection(rs, beta)
         assert weyl.reflection_in_root(rs, beta) == expected
         assert weyl.reflection_in_root(rs, -beta) == expected
+
+
+@pytest.mark.parametrize("name", ["A1", "B2", "C3", "G2", "D4", "F4"])
+def test_reflection_in_root_refuses_a_vector_that_is_not_a_root(name):
+    # a vector that is not a root has no integral coroot, and the matrix built from it lies outside W
+    rs = from_name(name)
+    theta = rs.highest_root
+    for v in (rs.rho, rs.zero_weight(), theta.scale(2), theta.scale(Fraction(1, 2)),
+              theta + rs.simple_root(0), rs.fundamental_weight(0) - rs.highest_root):
+        if v in rs.positive_roots or -v in rs.positive_roots:
+            continue
+        with pytest.raises(ValueError, match="is not a root"):
+            weyl.reflection_in_root(rs, v)
 
 
 @pytest.mark.parametrize("name", ["E7", "E8"])
@@ -469,8 +518,7 @@ def test_coroot_action_preserves_pairing(name):
         for lam in fund:
             w_lam = weyl.act(w, lam)
             for v, u in zip(coroots, moved):
-                assert rs.pairing_with_coroot_vector(w_lam, u) == \
-                    rs.pairing_with_coroot_vector(lam, v)
+                assert sum(map(mul, w_lam.coords, u)) == sum(map(mul, lam.coords, v))
 
 
 ALL_TYPES = ([f"A{r}" for r in range(1, 8)] + [f"B{r}" for r in range(2, 7)]
