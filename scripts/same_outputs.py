@@ -81,6 +81,10 @@ DEFAULT_JOBS = (
     "grid --series A --rank 2 --level 100000",
     "roots --series A --rank 2 --level 60",
     "roots --series E --rank 8 --level 3",
+    # flag errors (exit 2) and the full-grid fusion table
+    "grid --series A --rank 1 --seed 1",
+    "roots --series A --rank 1 --format csv",
+    "fusion --series A --rank 2 --level 3 --grid full",
 )
 
 

@@ -23,7 +23,6 @@ import cmath
 from fractions import Fraction
 from functools import cache, lru_cache, partial, reduce
 from itertools import product, repeat
-from math import lcm
 from operator import add, mul
 
 from . import intlinalg, weyl
@@ -40,8 +39,7 @@ class SingularPointError(ValueError):
 def residues(rs: RootSystem, x: TorusPoint) -> tuple[int, list[int]]:
     """(N, v) with (a | x) = (a . v) / N exactly for the integer row a of every integral weight."""
     d, gram = rs.nu_inverse
-    dx = lcm(*(c.denominator for c in x.mu_star.coords))
-    scaled = [int(c * dx) for c in x.mu_star.coords]
+    dx, scaled = intlinalg.clear_denominators(x.mu_star.coords)
     return d * dx, [sum(map(mul, row, scaled)) for row in gram]
 
 

@@ -1,7 +1,8 @@
 """Command-line surface: parse arguments, print data dumps and verify reports.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical-integrity error.  JSON is canonical; `grid` and `fusion` also offer
+Exit codes: 0 success, 1 verification failure, 2 configuration error (bad
+flags included), 3 numerical-integrity error, 141 stdout closed by its reader
+(128 + SIGPIPE).  JSON is canonical; `grid` and `fusion` also offer
 CSV, a lossy export with complex entries rendered as "re+imi" strings.  Each
 subcommand takes only the flags it reads: the suites live in alcove.verify, and
 --tolerance, --seed and --samples are options of `verify` only.
@@ -11,11 +12,12 @@ Identical configurations produce byte-identical artifacts.
 
 from __future__ import annotations
 
-import argparse
+import os
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
 from math import isfinite
+from types import SimpleNamespace
 
 try:  # json's C string escaper, without importing json itself (about 2 ms per process)
     from _json import encode_basestring_ascii as _quote
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
 EXIT_INTEGRITY = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _to_json(o, nl: str = "\n") -> str:
@@ -131,7 +134,7 @@ def _parse_point(rs, text: str) -> TorusPoint:
 
 # -- subcommands ---------------------------------------------------------------
 
-def cmd_roots(args: argparse.Namespace) -> int:
+def cmd_roots(args: SimpleNamespace) -> int:
     rs = rootdata.build_root_system(args.series, args.rank)
     data = rs.to_json_dict()
     data["schema"] = "alcove/roots/v1"
@@ -150,7 +153,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_faces(args: argparse.Namespace) -> int:
+def cmd_faces(args: SimpleNamespace) -> int:
     from . import stabilizers
     rs = rootdata.build_root_system(args.series, args.rank)
     rows = []
@@ -170,7 +173,7 @@ def cmd_faces(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_char(args: argparse.Namespace) -> int:
+def cmd_char(args: SimpleNamespace) -> int:
     from . import chareval
     rs = rootdata.build_root_system(args.series, args.rank)
     lam = _parse_weight(rs, args.weight)
@@ -182,7 +185,7 @@ def cmd_char(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_grid(args: argparse.Namespace) -> int:
+def cmd_grid(args: SimpleNamespace) -> int:
     from . import conventions
     rs = rootdata.build_root_system(args.series, args.rank)
     table = conventions.character_table(rs, args.level, args.grid)
@@ -208,7 +211,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_fusion(args: argparse.Namespace) -> int:
+def cmd_fusion(args: SimpleNamespace) -> int:
     from . import verlinde
     rs = rootdata.build_root_system(args.series, args.rank)
     try:
@@ -244,7 +247,7 @@ def cmd_fusion(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     from . import conventions, verify, verlinde
     if args.tolerance is not None and not (args.tolerance > 0 and isfinite(args.tolerance)):
         raise ConfigurationError("tolerance must be positive and finite")
@@ -266,54 +269,87 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # -- argument parsing ----------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, run, required: bool = True, level: bool = True,
-                grid: bool = True, csv: bool = False) -> argparse.ArgumentParser:
-    """Shared flags of the subcommand run(args); --level, --grid and CSV only if it reads them."""
-    p.set_defaults(run=run)
-    p.add_argument("--series", required=required, help="series letter A..G")
-    p.add_argument("--rank", required=required, type=int)
-    if level:
-        p.add_argument("--level", type=int, default=1)
-    if grid:
-        p.add_argument("--grid", choices=[rootdata.GRID_SHIFTED, rootdata.GRID_FULL], default=None)
-    p.add_argument("--format", choices=["json", "csv"] if csv else ["json"], default="json",
-                   dest="fmt")
-    p.add_argument("--out", default=None)
-    return p
+REQUIRED = object()  # the default of a flag that must be given
+_SYSTEM = {"--series": ("series", str, REQUIRED, 1), "--rank": ("rank", int, REQUIRED, 1)}
+_LEVEL = {"--level": ("level", int, 1, 1)}
+_GRID = {**_LEVEL, "--grid": ("grid", (rootdata.GRID_SHIFTED, rootdata.GRID_FULL), None, 1)}
+_JSON = {"--format": ("fmt", ("json",), "json", 1), "--out": ("out", str, None, 1)}
+_CSV = {**_JSON, "--format": ("fmt", ("json", "csv"), "json", 1)}
+# Each subcommand's handler and flags, a flag as (attribute, converter or choices,
+# default, number of values): a subcommand takes only the flags its handler reads.
+COMMANDS = {
+    "roots": (cmd_roots, {**_SYSTEM, **_LEVEL, **_JSON, "--elements": ("elements", bool, False, 0)}),
+    "faces": (cmd_faces, {**_SYSTEM, **_JSON}),
+    "grid": (cmd_grid, {**_SYSTEM, **_GRID, **_CSV}),
+    "char": (cmd_char, {**_SYSTEM, "--weight": ("weight", str, REQUIRED, 1),
+                        "--point": ("point", str, REQUIRED, 1), **_JSON}),
+    "fusion": (cmd_fusion, {**_SYSTEM, **_GRID, **_CSV, "--pair": ("pair", str, None, 2)}),
+    "verify": (cmd_verify, {"--series": ("series", str, None, 1), "--rank": ("rank", int, None, 1),
+                            **_GRID, **_JSON, "--tolerance": ("tolerance", float, None, 1),
+                            "--seed": ("seed", int, rootdata.DEFAULT_SEED, 1),
+                            "--samples": ("samples", int, rootdata.DEFAULT_SAMPLES, 1)}),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="alcove",
-                                     description="Alcove combinatorics, characters and fusion data "
-                                                 "for simple compact Lie groups.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_roots = _add_common(sub.add_parser("roots"), cmd_roots, grid=False)
-    p_roots.add_argument("--elements", action="store_true",
-                         help="include the Weyl element list")
-    _add_common(sub.add_parser("faces"), cmd_faces, level=False, grid=False)
-    _add_common(sub.add_parser("grid"), cmd_grid, csv=True)
-    p_char = _add_common(sub.add_parser("char"), cmd_char, level=False, grid=False)
-    p_char.add_argument("--weight", required=True, help="comma-separated coordinates")
-    p_char.add_argument("--point", required=True, help="comma-separated rationals")
-    p_fusion = _add_common(sub.add_parser("fusion"), cmd_fusion, csv=True)
-    p_fusion.add_argument("--pair", nargs=2, metavar=("A", "B"), default=None)
-    p_verify = _add_common(sub.add_parser("verify"), cmd_verify, required=False)
-    p_verify.add_argument("--tolerance", type=float, default=None,
-                          help="override the sampled, orthogonality and levelshift tolerances")
-    p_verify.add_argument("--seed", type=int, default=rootdata.DEFAULT_SEED)
-    p_verify.add_argument("--samples", type=int, default=rootdata.DEFAULT_SAMPLES)
-    return parser
+def _usage(args) -> int:
+    """Print every subcommand with its flags as COMMANDS lists them, optional ones in brackets."""
+    print("usage: alcove COMMAND [--FLAG VALUE ...]")
+    for command, (_, flags) in COMMANDS.items():
+        words = []
+        for flag, (attr, kind, default, nargs) in flags.items():
+            value = "|".join(kind) if isinstance(kind, tuple) else attr.upper()
+            word = " ".join([flag] + nargs * [value])
+            words.append(word if default is REQUIRED else f"[{word}]")
+        print(f"  {command:<7}{' '.join(words)}")
+    return EXIT_OK
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Handler (as run) and flag values of argv: exact flag names, --flag value or --flag=value."""
+    if "-h" in argv or "--help" in argv:
+        return SimpleNamespace(run=_usage)
+    if not argv or argv[0] not in COMMANDS:
+        raise ConfigurationError(f"argument command: invalid choice: {(argv[0] if argv else '')!r} "
+                                 f"(choose from {', '.join(COMMANDS)})")
+    (run, flags), rest = COMMANDS[argv[0]], argv[1:]
+    args = SimpleNamespace(run=run, **{attr: default for attr, _, default, _ in flags.values()})
+    while rest:
+        flag, eq, value = rest.pop(0).partition("=")
+        if flag not in flags:
+            raise ConfigurationError(f"unrecognized arguments: {flag}{eq}{value}")
+        attr, kind, _, nargs = flags[flag]
+        values = [value] if eq else rest[:nargs]
+        if len(values) != nargs or any(v.startswith("--") for v in values):
+            raise ConfigurationError(f"argument {flag}: expected {nargs} value(s)")
+        del rest[:0 if eq else nargs]
+        try:
+            if isinstance(kind, tuple) and values[0] not in kind:
+                raise ValueError(f"invalid choice: {values[0]!r} "
+                                 f"(choose from {', '.join(map(repr, kind))})")
+            values = values if isinstance(kind, tuple) else [kind(v) for v in values]
+        except ValueError as exc:  # int('x') says: invalid literal for int() with base 10: 'x'
+            raise ConfigurationError(f"argument {flag}: {exc}") from None
+        setattr(args, attr, values[0] if nargs == 1 else values or True)
+    missing = [flag for flag, spec in flags.items() if getattr(args, spec[0]) is REQUIRED]
+    if missing:
+        raise ConfigurationError(f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         if getattr(args, "level", 0) < 0:  # faces and char take no --level
             raise ConfigurationError("level must be nonnegative")
         if getattr(args, "level", 0) > rootdata.MAX_LEVEL:
             raise ConfigurationError(f"level {args.level} exceeds cap {rootdata.MAX_LEVEL}")
-        return args.run(args)
-    except (ValueError, weyl.ResourceError) as exc:  # bad input, singular point, cap
+        code = args.run(args)
+        sys.stdout.flush()  # a closed stdout raises here, not in the shutdown flush
+        return code
+    except BrokenPipeError:  # the reader closed stdout: end as a shell reports SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush succeeds
+        return EXIT_BROKEN_PIPE
+    except (ValueError, weyl.ResourceError) as exc:  # bad input or flags, singular point, cap
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -21,7 +21,8 @@ CharacterTable is the one character table on a grid (the Kac-Peterson
 S-matrix ratios S_lam,mu / S_0,mu on the shifted grid) together with this
 measure; every grid consumer reads it by position.  Its invert method is the
 one S-matrix contraction sum_t v_t * conj(chi_c(t)) * measure_t: orthogonality,
-multiplicity extraction and fusion all go through it.
+multiplicity extraction and fusion all go through it, for every weight c or for
+a list of weight indices (fusion_table asks only for the channels not yet known).
 """
 
 from __future__ import annotations
@@ -60,12 +61,13 @@ class CharacterTable(namedtuple("CharacterTable", "mode weights labels points re
 
     __slots__ = ()
 
-    def invert(self, column) -> list[complex]:
-        """[sum_t column_t * conj(chi_c(t)) * measure_t for every weight c].
+    def invert(self, column, weights=None) -> list[complex]:
+        """[sum_t column_t * conj(chi_c(t)) * measure_t for each weight index c in weights, or every c].
 
         column holds one value per live point; sum m_a chi_a inverts to m.
         """
-        return [sum(map(mul, column, dual), 0j) for dual in self.duals]
+        duals = self.duals if weights is None else [self.duals[c] for c in weights]
+        return [sum(map(mul, column, dual), 0j) for dual in duals]
 
 
 def character_table(rs: RootSystem, k: int, mode: str | None = None) -> CharacterTable:

@@ -8,7 +8,7 @@ clarity wins over asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vec = tuple[Fraction, ...]
 Mat = list[list[Fraction]]
@@ -43,6 +43,12 @@ def mat_inverse(m: Mat) -> Mat:
 
 def is_integral(v) -> bool:
     return all(Fraction(x).denominator == 1 for x in v)
+
+
+def clear_denominators(values) -> tuple[int, list[int]]:
+    """(m, [m * v for v in values]): m the lcm of the rationals' denominators, m * v as ints."""
+    m = lcm(*(v.denominator for v in values))
+    return m, [v.numerator * (m // v.denominator) for v in values]
 
 
 # -- integer normal forms ----------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import prod
 
 from . import intlinalg
 from .intlinalg import Mat
@@ -196,8 +196,8 @@ class RootSystem:
         # (alpha_i^v | alpha_j^v) = cartan[i][j] / d_j
         self.gram_coroots: Mat = [[Fraction(self.cartan[i][j]) / self.symmetrizers[j]
                                    for j in range(rank)] for i in range(rank)]
-        den = lcm(*(c.denominator for row in self.gram_weights for c in row))  # nu^-1 = G / D
-        self.nu_inverse = (den, tuple(tuple(int(c * den) for c in row) for row in self.gram_weights))
+        den, flat = intlinalg.clear_denominators([c for row in self.gram_weights for c in row])
+        self.nu_inverse = (den, tuple(tuple(flat[i:i + rank]) for i in range(0, len(flat), rank)))  # G / D
 
         self.positive_roots = tuple(self.weight_from_root_coords(rc) for rc in pos)
         self.highest_root = self.weight_from_root_coords(theta_rc)

@@ -14,7 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm, prod
+from math import prod
 from operator import mul
 
 from . import intlinalg, weyl
@@ -182,8 +182,7 @@ def lattice_phase_check(rs: RootSystem, fd: FaceData, k: int, t, require_lattice
     t = [Fraction(x) for x in t]
     if require_lattice and not rs.in_lattice_Mstar([(k + rs.dual_coxeter) * x for x in t]):
         raise DomainError("t is not of the form m/(k+h^v) with m in M*")
-    (m, shifts), e = _phase_shifts(rs, fd, k), lcm(*(x.denominator for x in t))
-    c = [int(x * e) for x in t]
+    (m, shifts), (e, c) = _phase_shifts(rs, fd, k), intlinalg.clear_denominators(t)
     return all(sum(map(mul, shift, c)) % (m * e) == 0 for shift in shifts)
 
 
@@ -191,8 +190,7 @@ def lattice_phase_check(rs: RootSystem, fd: FaceData, k: int, t, require_lattice
 def _phase_shifts(rs: RootSystem, fd: FaceData, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(m, v(a) - a for each v in W_mu), with k mu + rho - rho_mu = a / m, a integral (cached)."""
     x = (fd.mu.mu_star.scale(k) + rs.rho - fd.rho_mu).coords
-    m = lcm(*(c.denominator for c in x))
-    a = [int(c * m) for c in x]
+    m, a = intlinalg.clear_denominators(x)
     return m, tuple(tuple(sum(map(mul, row, a)) - ai for row, ai in zip(v.action, a))
                     for v, _ in stabilizer_subgroup(rs, fd))
 

@@ -122,13 +122,23 @@ def fusion_table(rs: RootSystem, k: int, grid_mode: str | None = None) -> Fusion
     """Complete fusion table, with unit and symmetry invariants verified."""
     n = check_fusion_size(rs, k)
     table = conventions.character_table(rs, k, grid_mode)
-    dense = [[None] * n for _ in range(n)]
+    star = [table.weights.index(contragredient(rs, lam)) for lam in table.weights]
+    above = [[d for d in range(n) if star[d] >= b] for b in range(n)]  # channels d = c*, c >= b
+    dense = [[[0] * n for _ in range(n)] for _ in range(n)]
     worst = 0.0
-    for i in range(n):
-        for j in range(i, n):
-            row, residual = _fusion_row(table, i, j)
+    # N_ab^{c*} is symmetric in a, b and c: contract each a <= b <= c once, write its six images
+    for a in range(n):
+        for b in range(a, n):
+            row_a, row_b = table.values[a], table.values[b]
+            ints, residual = _round(table.invert([row_a[t] * row_b[t] for t in table.live], above[b]))
             worst = max(worst, residual)
-            dense[i][j], dense[j][i] = row, row[:]
+            for d, m in zip(above[b], ints):
+                if m < 0:
+                    raise InconsistentInputError(f"negative fusion coefficient at {table.weights[d]}")
+                c = star[d]
+                dense[a][b][d] = dense[b][a][d] = m
+                dense[a][c][star[b]] = dense[c][a][star[b]] = m
+                dense[b][c][star[a]] = dense[c][b][star[a]] = m
     unit = dense[table.weights.index(rs.zero_weight())]
     if any(unit[b][c] != (b == c) for b in range(n) for c in range(n)):
         raise AssertionError("unit law failed in fusion table")

@@ -23,7 +23,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial, lcm
+from math import factorial
 from operator import mul
 
 from . import intlinalg
@@ -311,8 +311,8 @@ def lift(rs: RootSystem, w: WeylElement, x: TorusPoint, y: TorusPoint, k: int) -
     """The affine element over w sending x to y at level k: translation nu^-1(y - w x) / k, in M."""
     if k < 1:
         raise ValueError("affine action needs a positive level")
-    (d, gram), m = rs.nu_inverse, lcm(*(c.denominator for c in x.mu_star.coords + y.mu_star.coords))
-    a, c = ([int(v * m) for v in p.mu_star.coords] for p in (x, y))
+    (d, gram), (m, ac) = rs.nu_inverse, intlinalg.clear_denominators(x.mu_star.coords + y.mu_star.coords)
+    a, c = ac[:rs.rank], ac[rs.rank:]
     t = intlinalg.mat_vec(gram, [ci - sum(map(mul, row, a)) for ci, row in zip(c, w.action)])
     if any(v % (d * m * k) for v in t):  # t = D m k * translation
         raise MismatchError("nu^-1(y - w x) / k is not in the coroot lattice M = Q^v")
@@ -330,8 +330,8 @@ def find_alcove(rs: RootSystem, k: int, x: TorusPoint) -> tuple[AffineWeylElemen
     Returns g, the lift over the crossed walls' finite reflections (last wall
     leftmost), so affine_act(rs, g, x, k) is the certified representative.
     """
-    d = lcm(*(c.denominator for c in x.mu_star.coords))
-    walls, image = fold(rs, (int(c * d) for c in x.mu_star.coords), d * k)
+    d, scaled = intlinalg.clear_denominators(x.mu_star.coords)
+    walls, image = fold(rs, scaled, d * k)
     point = TorusPoint(Weight(tuple(Fraction(c, d) for c in image)))
     steps = {i: simple_reflection(rs, i) if i < rs.rank else reflection_in_root(rs, rs.highest_root)
              for i in set(walls)}  # the crossed walls' finite reflections; the affine wall is rank

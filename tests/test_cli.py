@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -167,31 +168,43 @@ def test_negative_tolerance_rejected(capsys, tolerance):
     assert err == "error: tolerance must be positive and finite\n"
 
 
-@pytest.mark.parametrize("args", [
-    ["char", "--series", "A", "--rank", "1", "--weight", "1", "--point", "1/0"],
-    ["char", "--series", "A", "--rank", "1", "--weight", "x", "--point", "1/3"],
-    ["char", "--series", "A", "--rank", "1", "--weight", "-1", "--point", "1/3"],
-    ["fusion", "--series", "A", "--rank", "1", "--level", "1", "--pair", "5", "0"],
-    ["grid", "--series", "E", "--rank", "8"],
-    ["roots", "--series", "A", "--rank", "1", "--level", "-1"],
-    ["grid", "--series", "A", "--rank", "1", "--level", "-1"],
-    ["roots", "--series", "A", "--rank", "1", "--out", "/nonexistent/x.json"],
-    ["roots", "--series", "E", "--rank", "7", "--elements"],
-    ["faces", "--series", "A", "--rank", "10"],
-    ["verify", "--series", "A", "--rank", "1", "--level", "100", "--samples", "1"],
-    ["roots", "--series", "A", "--rank", "300"],
+@pytest.mark.parametrize("args,expected", [
+    (["char", "--series", "A", "--rank", "1", "--weight", "1", "--point", "1/0"], ""),
+    (["char", "--series", "A", "--rank", "1", "--weight", "x", "--point", "1/3"], ""),
+    (["char", "--series", "A", "--rank", "1", "--weight", "-1", "--point", "1/3"], ""),
+    (["fusion", "--series", "A", "--rank", "1", "--level", "1", "--pair", "5", "0"], ""),
+    (["grid", "--series", "E", "--rank", "8"], ""),
+    (["roots", "--series", "A", "--rank", "1", "--level", "-1"], ""),
+    (["grid", "--series", "A", "--rank", "1", "--level", "-1"], ""),
+    (["roots", "--series", "A", "--rank", "1", "--out", "/nonexistent/x.json"], ""),
+    (["roots", "--series", "E", "--rank", "7", "--elements"], ""),
+    (["faces", "--series", "A", "--rank", "10"], ""),
+    (["verify", "--series", "A", "--rank", "1", "--level", "100", "--samples", "1"], ""),
+    (["roots", "--series", "A", "--rank", "300"], ""),
+    (["bogus", "--series", "A", "--rank", "1"], "invalid choice: 'bogus'"),
+    (["roots", "--series", "A"], "the following arguments are required: --rank"),
+    (["roots", "--series", "A", "--rank", "x"], "argument --rank: "),
+    (["fusion", "--series", "A", "--rank", "2", "--level", "2", "--pair", "1,0"],
+     "argument --pair: expected 2"),
+    (["roots", "--series", "A", "--rank", "1", "--lev", "2"], "unrecognized arguments: --lev"),
 ], ids=["point-1/0", "weight-x", "weight-negative", "pair-above-level", "grid-E8-cap",
         "roots-level-negative", "grid-level-negative", "out-unwritable", "roots-E7-elements",
-        "faces-A10-cap", "verify-fusion-cap", "roots-A300-rank-cap"])
-def test_bad_input_exits_2_with_one_line_error(capsys, monkeypatch, args):
+        "faces-A10-cap", "verify-fusion-cap", "roots-A300-rank-cap", "unknown-subcommand",
+        "missing-rank", "rank-not-an-int", "pair-one-value", "flag-abbreviation"])
+def test_bad_input_exits_2_with_one_line_error(capsys, monkeypatch, args, expected):
     def suite(rs, settings):
         raise AssertionError("a verify suite ran before the input was refused")
 
     monkeypatch.setattr(verify, "SUITES", (suite,))
+    assert_one_line_error(capsys, args, expected)
+
+
+def assert_one_line_error(capsys, args, expected=""):
+    """The command line exits 2 with empty stdout and one `error: ` line holding expected."""
     code, out, err = run(capsys, *args)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and expected in err
 
 
 @pytest.mark.parametrize("args", [
@@ -201,11 +214,7 @@ def test_bad_input_exits_2_with_one_line_error(capsys, monkeypatch, args):
      "--tolerance", "1e-9"],
 ], ids=["grid-seed", "fusion-samples", "char-tolerance"])
 def test_verify_only_flags_rejected_elsewhere(capsys, args):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(args)
-    out, err = capsys.readouterr()
-    assert exc.value.code == 2
-    assert out == "" and "unrecognized arguments" in err
+    assert_one_line_error(capsys, args, "unrecognized arguments")
 
 
 @pytest.mark.parametrize("args", [
@@ -217,11 +226,7 @@ def test_verify_only_flags_rejected_elsewhere(capsys, args):
     ["roots", "--series", "A", "--rank", "1", "--grid", "full"],
 ], ids=["faces-level", "faces-grid", "char-level", "char-grid", "roots-grid"])
 def test_unread_flags_rejected(capsys, args):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(args)
-    out, err = capsys.readouterr()
-    assert exc.value.code == 2
-    assert out == "" and "unrecognized arguments" in err
+    assert_one_line_error(capsys, args, "unrecognized arguments")
 
 
 @pytest.mark.parametrize("args", [
@@ -231,11 +236,32 @@ def test_unread_flags_rejected(capsys, args):
     ["verify", "--series", "A", "--rank", "1"],
 ], ids=["roots", "faces", "char", "verify"])
 def test_csv_rejected_without_a_csv_form(capsys, args):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(args + ["--format", "csv"])
-    out, err = capsys.readouterr()
-    assert exc.value.code == 2
-    assert out == "" and "invalid choice: 'csv'" in err
+    assert_one_line_error(capsys, args + ["--format", "csv"], "invalid choice: 'csv'")
+
+
+def test_help_lists_the_flag_table_and_flags_take_either_form(capsys):
+    code, out, err = run(capsys, "fusion", "--series", "A", "--help")
+    assert (code, err) == (0, "")
+    lines = {line.split()[0]: line.split() for line in out.splitlines()}
+    for command, (_, flags) in cli.COMMANDS.items():
+        assert set(flags) <= {word.strip("[]") for word in lines[command]}
+    spaced = run(capsys, "roots", "--series", "A", "--rank", "1", "--level", "2")
+    assert spaced[0] == 0
+    assert list(json.loads(spaced[1])["lattice_index_at_level"]) == ["0", "1", "2"]
+    assert run(capsys, "roots", "--series=A", "--rank=1", "--level=2") == spaced
+
+
+def test_closed_stdout_ends_the_job_quietly_with_141():
+    """A reader that stops after one line, like `| head -1`: no traceback, exit 128 + SIGPIPE."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "alcove.cli", "roots", "--series", "F", "--rank", "4",
+            "--elements"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()  # the JSON runs to megabytes: a write after the pipe buffer fails
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 def test_fusion_csv_has_one_row_per_pair(capsys, monkeypatch):
@@ -317,16 +343,17 @@ def test_library_run_matches_cli_reports(capsys):
     reports = verify.run(from_name("A1"), verify.Settings(level=1, samples=3))
     assert json.loads(out)["reports"] == [r.to_json_dict() for r in reports]
     assert code == 0 and all(r.passed for r in reports)
-    args = cli.build_parser().parse_args(["verify"])
+    args = cli.parse_args(["verify"])
     assert (args.seed, args.samples) == (2024, 100)
     assert (verify.Settings().seed, verify.Settings().samples) == (2024, 100)
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    """Start-up cost: `import alcove.cli` must not pull in dataclasses or inspect."""
+    """Start-up cost: `import alcove.cli` loads no dataclasses, inspect or argparse machinery."""
     src = str(Path(cli.__file__).resolve().parents[1])
     probe = (f"import sys; sys.path.insert(0, {src!r}); import alcove.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'} "
+             "& set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 

@@ -104,7 +104,10 @@ def test_fusion_row_equals_extraction_of_product():
     assert extract_multiplicities(rs, k, values).multiplicities == row
 
 
-@pytest.mark.parametrize("name,k,mode", [("A2", 3, "shifted"), ("B2", 2, "full")])
+@pytest.mark.parametrize("name,k,mode", [("A2", 3, "shifted"), ("B2", 2, "full"),
+                                         ("A2", 6, "shifted"), ("A3", 2, "shifted"),
+                                         ("C3", 2, "shifted"), ("G2", 4, "shifted"),
+                                         ("A2", 4, "full")])
 def test_fusion_pair_rows_equal_the_table(name, k, mode):
     rs = from_name(name)
     table = fusion_table(rs, k, mode)
