@@ -85,6 +85,9 @@ DEFAULT_JOBS = (
     "grid --series A --rank 1 --seed 1",
     "roots --series A --rank 1 --format csv",
     "fusion --series A --rank 2 --level 3 --grid full",
+    # the one full grid of rank >= 3 under the table cap: 5,184 points off the
+    # cached Smith form of D4 (divisors 1, 1, 2, 2) scaled by k+h^v = 6
+    "grid --series D --rank 4 --level 0 --grid full",
 )
 
 

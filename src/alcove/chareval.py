@@ -27,7 +27,7 @@ from operator import add, mul
 
 from . import intlinalg, weyl
 from .rootdata import (GRID_FULL, GRID_SHIFTED, RootSystem, TorusPoint, Weight,
-                       lattice_index, weights_at_level)
+                       smith_of_M, weights_at_level)
 
 
 class SingularPointError(ValueError):
@@ -205,21 +205,17 @@ def _grid(rs: RootSystem, k: int, mode: str) -> list:
     Shifted grid: y = lam + rho for lam of level <= k, labeled by lam.  Full
     grid: coset representatives of M*/(k+h^v)M.  M = Q^v and nu(M*) = P, so
     (k+h^v)M has the integer matrix (k+h^v) * gram_of_M() in the basis
-    nu^-1(Lambda_j) of M*.  With u x v = d its Smith form, the representatives
-    have M* coordinates y = u^-1 c, 0 <= c_i < d_i, and are labeled by y in
-    coroot coordinates, nu^-1(y) = G y / D.
+    nu^-1(Lambda_j) of M*; its Smith form is k+h^v times that of gram_of_M().  With
+    (u^-1, d) = rootdata.smith_of_M(rs), the representatives have M* coordinates
+    y = u^-1 c, 0 <= c_i < (k+h^v) d_i, labeled by nu^-1(y) = G y / D in coroot coordinates.
     """
     n = k + rs.dual_coxeter
     if mode == GRID_SHIFTED:
         labeled = [(lam, [int(c) + 1 for c in lam.coords]) for lam in weights_at_level(rs, k)]
     elif mode == GRID_FULL:
-        d, gram = rs.nu_inverse
-        u, diag, _ = intlinalg.smith_normal_form([[n * g for g in row] for row in rs.gram_of_M()])
-        u_inv = [[int(c) for c in row] for row in intlinalg.mat_inverse(intlinalg.frac_matrix(u))]
-        ys = [[sum(map(mul, row, c)) for row in u_inv]
-              for c in product(*(range(diag[i][i]) for i in range(rs.rank)))]
+        (d, gram), (u_inv, divisors) = rs.nu_inverse, smith_of_M(rs)
+        ys = [[sum(map(mul, row, c)) for row in u_inv] for c in product(*(range(n * e) for e in divisors))]
         labeled = [(tuple(Fraction(sum(map(mul, row, y)), d) for row in gram), y) for y in ys]
-        assert len(labeled) == lattice_index(rs, k)
     else:
         raise ValueError(f"unknown grid mode {mode!r}")
     return [(label, y, TorusPoint(Weight(tuple(Fraction(c, n) for c in y)))) for label, y in labeled]

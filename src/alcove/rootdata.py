@@ -312,18 +312,22 @@ def lattice_index(rs: RootSystem, k: int) -> int:
 
     M = Q^v and nu(M*) = P, so the change-of-basis matrix of (k+h^v) * (simple
     coroots) in the basis nu^-1(Lambda_j) of M* is the integer matrix
-    (k+h^v) * gram_of_M(), whose elementary divisors are k+h^v times those of
-    gram_of_M().
+    (k+h^v) * gram_of_M(), whose elementary divisors are k+h^v times the
+    divisors d of smith_of_M(rs): the index is (k+h^v)^rank prod(d).
     """
     if k < 0:
         raise ConfigurationError("level must be nonnegative")
-    return (k + rs.dual_coxeter) ** rs.rank * _index_of_M(rs)
+    return (k + rs.dual_coxeter) ** rs.rank * prod(smith_of_M(rs)[1])
 
 
 @lru_cache(maxsize=None)
-def _index_of_M(rs: RootSystem) -> int:
-    """Order of M*/M: the product of the elementary divisors of gram_of_M()."""
-    return prod(intlinalg.elementary_divisors(rs.gram_of_M()))
+def smith_of_M(rs: RootSystem) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(u^-1, d) of the Smith form u gram_of_M() v = diag(d), computed once per system.
+
+    That of n gram_of_M() is (u, n d, v) for n > 0: every pivot, quotient and divisibility test scales."""
+    u, diag, _ = intlinalg.smith_normal_form(rs.gram_of_M())
+    return (tuple(tuple(map(int, row)) for row in intlinalg.mat_inverse(intlinalg.frac_matrix(u))),
+            tuple(diag[i][i] for i in range(rs.rank)))
 
 
 def weights_at_level(rs: RootSystem, k: int) -> list[Weight]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import prod
-from operator import mul
+from operator import mul, sub
 
 from . import intlinalg, weyl
 from .rootdata import RootSystem, TorusPoint, Weight, _positive_root_closure
@@ -133,22 +133,19 @@ def stabilizer_generators(rs: RootSystem, fd: FaceData) -> list[tuple[str, WeylE
 
 @lru_cache(maxsize=None)
 def stabilizer_subgroup(rs: RootSystem, fd: FaceData) -> tuple[tuple[WeylElement, AffineWeylElement], ...]:
-    """W_mu as pairs (w, lift of w), sorted by word length then word (cached).
+    """W_mu as pairs (w, lift of w), in enumerate_weyl order (cached).
 
-    The finite reflections s_gamma are closed under left multiplication, and each
-    element w is lifted to weyl.lift(rs, w, mu, mu, 1), the one over w fixing mu at level 1.
+    W_mu is generated by the reflections in the walls through mu (Bourbaki, Lie V 3.3), so w
+    is in it iff nu^-1(mu - w mu) is in Q^v: with mu = a / m, m | a - w a and D m | G (a - w a),
+    (D, G) = rs.nu_inverse, read in integers off weyl.orbit(rs, a).  Only members are lifted.
     """
-    gens = [w for _, w, _ in stabilizer_generators(rs, fd)]
-    group = [weyl.identity_element(rs)]
-    seen = {group[0].action}
-    for w in group:  # a queue that grows while it is walked: breadth-first
-        for g in gens:
-            u = g * w
-            if u.action not in seen:
-                seen.add(u.action)
-                group.append(u)
-    group.sort(key=lambda w: (len(w.word), w.word))
-    return tuple((w, weyl.lift(rs, w, fd.mu, fd.mu, 1)) for w in group)
+    (d, gram), (m, a) = rs.nu_inverse, intlinalg.clear_denominators(fd.mu.mu_star.coords)
+    members = []
+    for w, (_, wa) in zip(weyl.enumerate_weyl(rs), weyl.orbit(rs, a)):
+        diff = list(map(sub, a, wa))
+        if not any(map(m.__rmod__, diff)) and not any(sum(map(mul, row, diff)) % (d * m) for row in gram):
+            members.append((w, weyl.lift(rs, w, fd.mu, fd.mu, 1)))
+    return tuple(members)
 
 
 def rho_shift(rs: RootSystem, fd: FaceData, w: WeylElement) -> RhoShift:

@@ -1,15 +1,16 @@
 import cmath
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcove import chareval, conventions, identities, rootdata, weyl
+from alcove import chareval, conventions, identities, intlinalg, rootdata, weyl
 from alcove.chareval import SingularPointError, character, integer_rows, is_regular, \
     localization_sum, phase, residues, row_residues, weyl_denominator
-from alcove.rootdata import TorusPoint, from_name, inner
+from alcove.rootdata import TorusPoint, Weight, from_name, inner
 
 
 def point(rs, coords):
@@ -222,6 +223,31 @@ def test_full_grid_is_a_transversal(name, k):
     for m, p in grid:
         assert p == TorusPoint(rs.coroot_to_weight_space(m).scale(Fraction(1, n)))
     assert len({tuple(x % n for x in m) for m, _ in grid}) == len(grid)
+
+
+def reference_full_grid(rs, k):
+    """The full grid from the Smith form of (k+h^v) gram_of_M(), computed at this level."""
+    n = k + rs.dual_coxeter
+    d, gram = rs.nu_inverse
+    u, diag, _ = intlinalg.smith_normal_form([[n * g for g in row] for row in rs.gram_of_M()])
+    u_inv = [[int(x) for x in row] for row in intlinalg.mat_inverse(intlinalg.frac_matrix(u))]
+    ys = [[sum(a * b for a, b in zip(row, c)) for row in u_inv]
+          for c in product(*(range(diag[i][i]) for i in range(rs.rank)))]
+    return [(tuple(Fraction(sum(a * b for a, b in zip(row, y)), d) for row in gram), y,
+             TorusPoint(Weight(tuple(Fraction(c, n) for c in y)))) for y in ys]
+
+
+FULL_GRID_CASES = [(name, k) for name in ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",
+                                           "D4", "D5", "G2", "F4", "E6"]
+                   for k in range(5) if rootdata.lattice_index(from_name(name), k) <= 20_000]
+
+
+@pytest.mark.parametrize("name,k", FULL_GRID_CASES)
+def test_full_grid_equals_the_smith_form_at_its_level(name, k):
+    # the cached Smith form of gram_of_M(), scaled by k+h^v, gives the same
+    # labels and points in the same order as the Smith form at the level
+    rs = from_name(name)
+    assert chareval._grid(rs, k, "full") == reference_full_grid(rs, k)
 
 
 def test_full_grid_a1_level1_has_six_points():

@@ -141,6 +141,20 @@ def test_lattice_index_is_the_smith_form_at_every_level(name):
         assert rootdata.lattice_index(rs, k) == prod(intlinalg.elementary_divisors(scaled))
 
 
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_smith_form_scales_with_the_matrix(name):
+    # smith_normal_form(n G) is (u, n d, v): the one cached u serves every level
+    rs = from_name(name)
+    u, d, v = intlinalg.smith_normal_form(rs.gram_of_M())
+    u_inv, divisors = rootdata.smith_of_M(rs)
+    assert divisors == tuple(d[i][i] for i in range(rs.rank))
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*u)] for row in u_inv] == \
+        [[int(i == j) for j in range(rs.rank)] for i in range(rs.rank)]
+    for n in range(1, 31):
+        scaled = intlinalg.smith_normal_form([[n * g for g in row] for row in rs.gram_of_M()])
+        assert scaled == (u, [[n * x for x in row] for row in d], v)
+
+
 @pytest.mark.parametrize("name,k", [("A1", 1), ("A1", 2), ("A1", 3), ("A2", 1),
                                     ("A2", 2), ("B2", 1), ("G2", 1), ("A3", 1)])
 def test_lattice_index_against_coset_closure(name, k):

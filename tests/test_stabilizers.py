@@ -253,6 +253,64 @@ def test_stabilizer_subgroup_is_closed_and_paired():
                     assert gen == weyl.affine_from_finite(fin, rs.rank)
 
 
+def reference_closure(rs, fd):
+    """(finite action, translation) of each element the generators' lifts generate, by closure."""
+    gens = [gen for _, _, gen in stabilizers.stabilizer_generators(rs, fd)]
+    identity = weyl.identity_affine(rs)
+    group, seen = [identity], {(identity.finite.action, identity.translation)}
+    for g in group:  # a queue that grows while it is walked
+        for gen in gens:
+            product = gen * g
+            key = (product.finite.action, product.translation)
+            if key not in seen:
+                seen.add(key)
+                group.append(product)
+    return seen
+
+
+STABILIZER_SYSTEMS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4"]
+
+
+@pytest.mark.parametrize("name", STABILIZER_SYSTEMS)
+def test_stabilizer_subgroup_is_the_group_its_generators_generate(name):
+    # W_mu is read off the walk of W by a membership test; the wall reflections'
+    # lifts generate the same group, with the same translations (Bourbaki, Lie V 3.3)
+    rs = from_name(name)
+    for _, fd in enumerate_faces(rs):
+        pairs = stabilizers.stabilizer_subgroup(rs, fd)
+        assert all(aff.finite == fin for fin, aff in pairs)
+        assert {(fin.action, aff.translation) for fin, aff in pairs} == reference_closure(rs, fd)
+        assert len(pairs) == len({fin.action for fin, _ in pairs})
+
+
+def test_stabilizer_subgroup_multiplies_no_weyl_element(monkeypatch):
+    faces = {name: [fd for _, fd in enumerate_faces(from_name(name))] for name in ["B3", "D4", "G2"]}
+
+    def no_product(*args):
+        raise AssertionError("stabilizer_subgroup multiplied Weyl elements")
+
+    monkeypatch.setattr(weyl.WeylElement, "__mul__", no_product)
+    stabilizers.stabilizer_subgroup.cache_clear()
+    for name, fds in faces.items():
+        rs = from_name(name)
+        assert sum(len(stabilizers.stabilizer_subgroup(rs, fd)) for fd in fds) > len(fds)
+
+
+def test_stabilizer_subgroup_obeys_the_group_cap(monkeypatch):
+    # the walk of W refuses E7 (|W| = 2,903,040) before any work, even at an
+    # interior point whose stabilizer is trivial
+    def no_work(*args):
+        raise AssertionError("W was walked past the group cap")
+
+    rs = from_name("E7")
+    fd = face_data(rs, TorusPoint(rs.rho.scale(Fraction(1, 2 * rs.dual_coxeter))))
+    assert fd.realized_simple_roots == ()
+    for name in ("iter_weyl", "orbit", "lift"):
+        monkeypatch.setattr(weyl, name, no_work)
+    with pytest.raises(weyl.ResourceError, match="exceeds cap"):
+        stabilizers.stabilizer_subgroup(rs, fd)
+
+
 def reference_fund_weights(rs, fd):
     """Fundamental weights of W_mu by exact orthogonal projection onto the realized roots.
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from alcove import chareval, conventions, verlinde, weyl
-from alcove.rootdata import from_name, weights_at_level
+from alcove.rootdata import Weight, from_name, weights_at_level
 from alcove.verlinde import (InconsistentInputError, contragredient, extract_multiplicities,
                              fusion_coefficients, fusion_table, synthesize)
 
@@ -44,6 +45,29 @@ def test_contragredient_involutive_and_dominant(cs):
     bar = contragredient(rs, lam)
     assert bar.is_dominant
     assert contragredient(rs, bar) == lam
+
+
+def test_contragredient_folds_integers_like_the_fraction_fold(monkeypatch):
+    # the fold commutes with scaling by m > 0, so folding the integer numerators
+    # of -a and dividing by m is the fold of -a's Fractions
+    fraction_fold = weyl.fold
+
+    def reference(rs, a):
+        return Weight(fraction_fold(rs, (-a).coords)[1])
+
+    def integer_fold(rs, a, *rest):
+        a = tuple(a)
+        assert all(type(c) is int for c in a), a
+        return fraction_fold(rs, a, *rest)
+
+    monkeypatch.setattr(weyl, "fold", integer_fold)
+    for name in ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "D5", "E6", "F4", "G2"]:
+        rs = from_name(name)
+        for lam in weights_at_level(rs, 3):
+            assert contragredient(rs, lam) == reference(rs, lam)
+    rs = from_name("E6")
+    lam = rs.weight_from_coords([Fraction(1, 2), 0, Fraction(2, 3), 1, 0, Fraction(5, 6)])
+    assert not lam.is_integral and contragredient(rs, lam) == reference(rs, lam)
 
 
 def test_contragredient_character_is_conjugate():
