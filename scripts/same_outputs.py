@@ -88,6 +88,12 @@ DEFAULT_JOBS = (
     # the one full grid of rank >= 3 under the table cap: 5,184 points off the
     # cached Smith form of D4 (divisors 1, 1, 2, 2) scaled by k+h^v = 6
     "grid --series D --rank 4 --level 0 --grid full",
+    # non-simply-laced root coordinates and symmetrizers, and E7's datum, whose
+    # weyl_order is null above the group cap
+    "roots --series B --rank 5 --elements",
+    "roots --series G --rank 2 --elements",
+    "roots --series C --rank 4",
+    "roots --series E --rank 7",
 )
 
 

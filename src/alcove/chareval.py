@@ -50,12 +50,6 @@ def integer_rows(weights) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(map(int, a.coords)) for a in weights)
 
 
-@lru_cache(maxsize=None)
-def root_rows(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """The positive roots as integer rows."""
-    return integer_rows(rs.positive_roots)
-
-
 def row_residues(rows, v) -> list[int]:
     """[a . v for each integer row a]: (a | x) = (a . v) / N at the point with residues (N, v)."""
     return [sum(map(mul, a, v)) for a in rows]
@@ -82,13 +76,13 @@ def denominator(root_residues, n: int) -> complex:
 
 def weyl_denominator(rs: RootSystem, x: TorusPoint) -> complex:
     n, v = residues(rs, x)
-    return denominator(row_residues(root_rows(rs), v), n)
+    return denominator(row_residues(rs.root_rows, v), n)
 
 
 def is_regular(rs: RootSystem, x: TorusPoint) -> bool:
     """No root takes an integer value at x (exact: no root residue is 0 mod N)."""
     n, v = residues(rs, x)
-    return all(r % n for r in row_residues(root_rows(rs), v))
+    return all(r % n for r in row_residues(rs.root_rows, v))
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
@@ -98,7 +92,7 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     _, gram = rs.nu_inverse
     shifted = [int(c) + 1 for c in lam.coords]
     num = den = 1
-    for beta in root_rows(rs):
+    for beta in rs.root_rows:
         g = [sum(map(mul, row, beta)) for row in gram]  # D (Lambda_j | beta)
         num *= sum(map(mul, shifted, g))
         den *= sum(g)
@@ -132,7 +126,7 @@ def _point_columns(rs: RootSystem, lams, n: int):
     orbits = cache(partial(_shifted_orbits, rs, lams))
 
     def at(v) -> tuple[complex, list[complex | None]]:
-        roots = row_residues(root_rows(rs), v)
+        roots = row_residues(rs.root_rows, v)
         den = denominator(roots, n)
         if not any(v):  # the identity
             return den, [complex(weyl_dimension(rs, lam)) for lam in lams]
@@ -191,7 +185,7 @@ def localization_sum(rs: RootSystem, lam: Weight, x: TorusPoint) -> complex:
     total = 0j
     for h in weyl_pullbacks(rs, v):
         term = phase(sum(map(mul, row, h)), n)
-        for r in row_residues(root_rows(rs), h):
+        for r in row_residues(rs.root_rows, h):
             term /= 1 - phase(-r, n)
         total += term
     return total

@@ -115,21 +115,15 @@ def _weight_label(lam) -> str:
     return "+".join(f"{int(c)}w{i}" for i, c in enumerate(lam.coords) if c) or "0"
 
 
-def _parse_weight(rs, text: str):
-    coords = [int(x) for x in text.split(",")]
-    if len(coords) != rs.rank:
-        raise ConfigurationError(f"weight needs {rs.rank} coordinates")
-    return rs.weight_from_coords(coords)
-
-
-def _parse_point(rs, text: str) -> TorusPoint:
+def _parse_coords(rs, text: str, what: str, kind: str, parse):
+    """The weight of rs.rank comma-separated coordinates, each read by parse (int or Fraction)."""
     try:
-        coords = [Fraction(x) for x in text.split(",")]
+        coords = [parse(x) for x in text.split(",")]
     except (ValueError, ZeroDivisionError):
-        raise ConfigurationError(f"point {text!r} needs rational coordinates") from None
+        raise ConfigurationError(f"{what} {text!r} needs {kind} coordinates") from None
     if len(coords) != rs.rank:
-        raise ConfigurationError(f"point needs {rs.rank} coordinates")
-    return TorusPoint(rs.weight_from_coords(coords))
+        raise ConfigurationError(f"{what} needs {rs.rank} coordinates")
+    return rs.weight_from_coords(coords)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -176,8 +170,8 @@ def cmd_faces(args: SimpleNamespace) -> int:
 def cmd_char(args: SimpleNamespace) -> int:
     from . import chareval
     rs = rootdata.build_root_system(args.series, args.rank)
-    lam = _parse_weight(rs, args.weight)
-    x = _parse_point(rs, args.point)
+    lam = _parse_coords(rs, args.weight, "weight", "integer", int)
+    x = TorusPoint(_parse_coords(rs, args.point, "point", "rational", Fraction))
     value = chareval.character(rs, lam, x)
     _emit(args.fmt, args.out, {"schema": "alcove/char/v1", "weight": _weight_label(lam),
                                "point": [str(c) for c in x.mu_star.coords],
@@ -216,8 +210,7 @@ def cmd_fusion(args: SimpleNamespace) -> int:
     rs = rootdata.build_root_system(args.series, args.rank)
     try:
         if args.pair:
-            a = _parse_weight(rs, args.pair[0])
-            b = _parse_weight(rs, args.pair[1])
+            a, b = (_parse_coords(rs, text, "weight", "integer", int) for text in args.pair)
             row = verlinde.fusion_coefficients(rs, args.level, a, b, args.grid)
             weights, max_residual = list(row), None
         else:

@@ -48,7 +48,7 @@ def fundamental_formula_residual(rs: RootSystem, x: TorusPoint, y: TorusPoint) -
     if any((p + q) % n == 0 for fx in fund_x for fy in fund_y for p, q in zip(fx, fy)):
         raise PoleError("weight factor vanishes")
 
-    rows = chareval.root_rows(rs)
+    rows = rs.root_rows
     den_x = [chareval.denominator(chareval.row_residues(rows, h), nx) for h in hx]
     den_y = [chareval.denominator(chareval.row_residues(rows, h), ny) for h in hy]
     total = 0j

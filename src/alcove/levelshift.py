@@ -56,7 +56,7 @@ def shift_rule_residual(rs: RootSystem, witness: ShiftWitness, x: TorusPoint,
     vanishes at every pole-free point.
     """
     n, v = chareval.residues(rs, x)
-    roots = chareval.root_rows(rs)
+    roots = rs.root_rows
     at_x = chareval.row_residues(roots, v)
     if not all(r % n for r in at_x):  # chareval.is_regular, on residues at hand
         raise PoleError("denominator factor vanishes at the sample point")

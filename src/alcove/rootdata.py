@@ -1,11 +1,14 @@
 """Static data of a simple root system, normalized so (theta|theta) = 2.
 
 All arithmetic is exact.  A weight is stored once, in fundamental-weight
-coordinates; its simple-root coordinates are derived on demand (root_coords).
-Coroots live in simple-coroot coordinates, and every derived quantity is
-computed from the Cartan matrix alone.  The library reads nu in integers,
-nu(v) = gram_of_M() v and nu^-1(lam) = G lam / D with (D, G) = nu_inverse;
-coroot_of, coroot_to_weight_space and gram_weights are Fraction references.
+coordinates.  The library reads integer tables built once per system from the
+root closure and the Cartan matrix: the positive roots in simple-root
+coordinates (positive_root_coords) and as rows <beta, alpha_k^v> (root_rows,
+theta's last), the support {k: c_ki} of each alpha_i (supports), and nu in
+integers, nu(v) = gram_of_M() v and nu^-1(lam) = G lam / D with
+(D, G) = nu_inverse.  The Fraction matrices gram_weights, gram_coroots and
+inv_cartan, and root_coords, weight_from_root_coords, coroot_of and
+coroot_to_weight_space, are references.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
+from operator import mul
 
 from . import intlinalg
 from .intlinalg import Mat
@@ -50,7 +54,7 @@ class Weight(namedtuple("Weight", "coords")):
     """Exact-rational vector in fundamental-weight coordinates.
 
     coords[i] is the pairing <lam, alpha_i^v>; the simple-root expansion is
-    RootSystem.root_coords(lam).
+    RootSystem.root_coords(lam), a reference.
     """
 
     __slots__ = ()
@@ -180,8 +184,7 @@ class RootSystem:
 
         d = _symmetrizers(self.cartan)
         pos = _positive_root_closure(self.cartan)
-        # highest root = the unique root dominating all others coordinatewise
-        theta_rc = max(pos, key=sum)
+        theta_rc = pos[-1]  # the highest root: the closure is sorted by height
         if any(any(b > t for b, t in zip(beta, theta_rc)) for beta in pos):
             raise AssertionError("highest root is not unique in the root order")
         # rescale the form so that (theta|theta) = 2 exactly
@@ -196,12 +199,20 @@ class RootSystem:
         # (alpha_i^v | alpha_j^v) = cartan[i][j] / d_j
         self.gram_coroots: Mat = [[Fraction(self.cartan[i][j]) / self.symmetrizers[j]
                                    for j in range(rank)] for i in range(rank)]
+        if not intlinalg.is_integral(c for row in self.gram_coroots for c in row):
+            raise AssertionError("the Gram matrix of M must be integral")
+        self._gram_of_M = tuple(tuple(map(int, row)) for row in self.gram_coroots)
         den, flat = intlinalg.clear_denominators([c for row in self.gram_weights for c in row])
         self.nu_inverse = (den, tuple(tuple(flat[i:i + rank]) for i in range(0, len(flat), rank)))  # G / D
 
-        self.positive_roots = tuple(self.weight_from_root_coords(rc) for rc in pos)
-        self.highest_root = self.weight_from_root_coords(theta_rc)
-        self.marks = tuple(int(x) for x in theta_rc)
+        # the roots as rows <beta, alpha_k^v> = sum_j cartan[k][j] beta_j; alpha_i = column i
+        self.positive_root_coords = tuple(pos)
+        self.root_rows = tuple(tuple(sum(map(mul, row, rc)) for row in self.cartan) for rc in pos)
+        self.supports = tuple({k: row[i] for k, row in enumerate(self.cartan) if row[i]}
+                              for i in range(rank))
+        self.positive_roots = tuple(map(self.weight_from_coords, self.root_rows))
+        self.highest_root = self.positive_roots[-1]
+        self.marks = theta_rc
         comarks = [Fraction(a) * di for a, di in zip(theta_rc, self.symmetrizers)]
         if not intlinalg.is_integral(comarks):
             raise AssertionError("comarks must be integers")
@@ -252,9 +263,8 @@ class RootSystem:
     # -- lattices ------------------------------------------------------------
 
     def gram_of_M(self) -> list[list[int]]:
-        """Gram matrix of the M basis, (alpha_i^v | alpha_j^v): integral as M is in M*."""
-        assert all(x.denominator == 1 for row in self.gram_coroots for x in row)
-        return [[int(x) for x in row] for row in self.gram_coroots]
+        """Gram matrix (alpha_i^v | alpha_j^v) of the M basis, integral as M is in M*; a copy."""
+        return [list(row) for row in self._gram_of_M]
 
     def in_lattice_M(self, coroot_coords) -> bool:
         return intlinalg.is_integral(coroot_coords)
@@ -268,9 +278,8 @@ class RootSystem:
             "rank": self.rank,
             "cartan": self.cartan,
             "symmetrizers": [str(d) for d in self.symmetrizers],
-            "positive_roots": [[str(x) for x in self.root_coords(r)]
-                               for r in self.positive_roots],
-            "highest_root": [str(x) for x in self.root_coords(self.highest_root)],
+            "positive_roots": [list(map(str, rc)) for rc in self.positive_root_coords],
+            "highest_root": list(map(str, self.marks)),
             "marks": list(self.marks),
             "comarks": list(self.comarks),
             "dual_coxeter": self.dual_coxeter,

@@ -8,13 +8,15 @@ The level enters only in affine_act and lift, which read nu in integers.
 
 W is walked once, breadth-first by left multiplication with simple
 reflections, keyed by w(rho) (injective, as rho is regular), and cached as a
-skeleton: each element is s_i times an earlier one.  orbit(rs, a) replays the
-skeleton on a; s_i(u) = u - u_i alpha_i changes only the coordinates on the
-support of alpha_i, so each image costs O(rank).  iter_weyl replays it on the
-matrices (column j of w is w(Lambda_j)), rebuilding only the rows on that
-support, and yields the elements one at a time while holding only the last
-two word lengths; enumerate_weyl is its cached tuple.  Every descent is fold:
-integer coordinates reflected in the lowest violated wall, O(rank) per step.
+skeleton: each element is s_i times an earlier one.  Each word length is
+ordered by (i, index of the parent), which is word order, so the walk builds
+no words; only iter_weyl does.  orbit(rs, a) replays the skeleton on a;
+s_i(u) = u - u_i alpha_i changes only the coordinates on rs.supports[i], so
+each image costs O(rank).  iter_weyl replays it on the matrices (column j
+of w is w(Lambda_j)), rebuilding only the rows on that support, and yields
+the elements one at a time while holding only the last two word lengths;
+enumerate_weyl is its cached tuple.  Every descent is fold: integer
+coordinates reflected in the lowest violated wall, O(rank) per step.
 """
 
 from __future__ import annotations
@@ -152,27 +154,21 @@ def order_formula(rs: RootSystem) -> int:
 
 
 @lru_cache(maxsize=None)
-def _supports(rs: RootSystem) -> tuple[dict[int, int], ...]:
-    """{k: alpha_i[k]} on the support of alpha_i: the only coordinates s_i changes."""
-    return tuple({k: int(a) for k, a in enumerate(rs.simple_root(i).coords) if a}
-                 for i in range(rs.rank))
-
-
-@lru_cache(maxsize=None)
 def _skeleton(rs: RootSystem) -> tuple[tuple[int, int, int], ...]:
     """W in enumerate_weyl order as (parent index, i, sign): element t is s_i * parent.
 
-    The identity is (-1, -1, 1); every parent comes before its children.
+    The identity is (-1, -1, 1); every parent comes before its children.  The
+    word of s_i * parent is (i,) + the parent's word, and the parents of one
+    word length are in word order, so (i, parent index) sorts each length by word.
     """
     weyl_order(rs)
-    supports = _supports(rs)
     rho = (1,) * rs.rank
     seen, skeleton = {rho}, [(-1, -1, 1)]
-    level = [(rho, (), 0)]  # (w(rho), word, index) in discovery order
+    level = [(rho, 0)]  # (w(rho), index) in discovery order
     while level:
         found = []
-        for mu, word, t in level:
-            for i, support in enumerate(supports):
+        for mu, t in level:
+            for i, support in enumerate(rs.supports):
                 if mu[i] < 0:  # s_i * w is shorter than w, so already seen
                     continue
                 key = list(mu)  # s_i(mu) = mu - mu_i alpha_i
@@ -181,12 +177,12 @@ def _skeleton(rs: RootSystem) -> tuple[tuple[int, int, int], ...]:
                 key = tuple(key)
                 if key not in seen:  # BFS: words come out geodesic, hence reduced
                     seen.add(key)
-                    found.append([(i,) + word, t, key])
-        sign = -skeleton[-1][2]
-        for entry in sorted(found):  # one word length per level: sort by word
-            entry.append(len(skeleton))
-            skeleton.append((entry[1], entry[0][0], sign))
-        level = [(key, word, t) for word, _, key, t in found]
+                    found.append((i, t, key))
+        sign, start = -skeleton[-1][2], len(skeleton)
+        ranked = sorted(found)  # the pairs (i, t) are distinct, so keys are never compared
+        skeleton.extend((t, i, sign) for i, t, _ in ranked)
+        index = {key: start + n for n, (_, _, key) in enumerate(ranked)}
+        level = [(key, index[key]) for _, _, key in found]
     return tuple(skeleton)
 
 
@@ -198,7 +194,7 @@ def iter_weyl(rs: RootSystem) -> Iterator[WeylElement]:
     children, so only the last two lengths are held.
     """
     weyl_order(rs)  # the group cap raises on every call, before the first element
-    skeleton, supports = _skeleton(rs), _supports(rs)
+    skeleton, supports = _skeleton(rs), rs.supports
 
     def elements():
         w = identity_element(rs)
@@ -234,7 +230,7 @@ def orbit(rs: RootSystem, a) -> list[tuple[int, tuple]]:
     Replays the skeleton of W on a, O(rank) per element, without listing W
     as matrices.
     """
-    supports = _supports(rs)
+    supports = rs.supports
     out = [(1, tuple(a))]
     for parent, i, sign in _skeleton(rs)[1:]:
         u = out[parent][1]
@@ -278,7 +274,7 @@ def fold(rs: RootSystem, a, n: int | None = None) -> tuple[tuple[int, ...], tupl
         elif n is not None and (p := sum(m * c for m, c in zip(rs.comarks, a))) > n:
             if n < 1:
                 raise ValueError("affine action needs a positive level")
-            a, i = [c - (p - n) * int(t) for c, t in zip(a, rs.highest_root.coords)], rs.rank
+            a, i = [c - (p - n) * t for c, t in zip(a, rs.root_rows[-1])], rs.rank  # theta's row
         else:
             return tuple(walls), tuple(a)
         walls.append(i)

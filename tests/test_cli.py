@@ -172,6 +172,10 @@ def test_negative_tolerance_rejected(capsys, tolerance):
     (["char", "--series", "A", "--rank", "1", "--weight", "1", "--point", "1/0"], ""),
     (["char", "--series", "A", "--rank", "1", "--weight", "x", "--point", "1/3"], ""),
     (["char", "--series", "A", "--rank", "1", "--weight", "-1", "--point", "1/3"], ""),
+    (["char", "--series", "A", "--rank", "1", "--weight", "1.5", "--point", "1/3"],
+     "weight '1.5' needs integer coordinates"),
+    (["fusion", "--series", "A", "--rank", "2", "--level", "2", "--pair", "1,x", "0,0"],
+     "weight '1,x' needs integer coordinates"),
     (["fusion", "--series", "A", "--rank", "1", "--level", "1", "--pair", "5", "0"], ""),
     (["grid", "--series", "E", "--rank", "8"], ""),
     (["roots", "--series", "A", "--rank", "1", "--level", "-1"], ""),
@@ -187,7 +191,8 @@ def test_negative_tolerance_rejected(capsys, tolerance):
     (["fusion", "--series", "A", "--rank", "2", "--level", "2", "--pair", "1,0"],
      "argument --pair: expected 2"),
     (["roots", "--series", "A", "--rank", "1", "--lev", "2"], "unrecognized arguments: --lev"),
-], ids=["point-1/0", "weight-x", "weight-negative", "pair-above-level", "grid-E8-cap",
+], ids=["point-1/0", "weight-x", "weight-negative", "weight-not-an-int", "pair-not-an-int",
+        "pair-above-level", "grid-E8-cap",
         "roots-level-negative", "grid-level-negative", "out-unwritable", "roots-E7-elements",
         "faces-A10-cap", "verify-fusion-cap", "roots-A300-rank-cap", "unknown-subcommand",
         "missing-rank", "rank-not-an-int", "pair-one-value", "flag-abbreviation"])

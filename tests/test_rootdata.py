@@ -84,7 +84,7 @@ def test_gram_positive_definite(name):
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_lattice_M_inside_dual(name):
     rs = from_name(name)
-    rs.gram_of_M()  # asserts integrality internally
+    assert rs.gram_of_M() == rs.gram_coroots  # integral, checked when the system is built
     for i in range(rs.rank):  # the simple coroots, the basis of M
         assert rs.in_lattice_Mstar([int(i == j) for j in range(rs.rank)])
 
@@ -114,6 +114,48 @@ def test_rank_cap_refuses_before_building(monkeypatch):
     for rank in (rootdata.MAX_RANK + 1, 300):
         with pytest.raises(ConfigurationError, match=f"rank {rank} exceeds cap 20"):
             build_root_system("A", rank)
+
+
+@pytest.mark.parametrize("name", SYSTEMS + ["B5", "C4", "D5", "E6", "E7", "E8"])
+def test_integer_tables_equal_the_fraction_references(name):
+    rs = from_name(name)
+    assert rs.positive_root_coords == tuple(rootdata._positive_root_closure(rs.cartan))
+    expected = [rs.weight_from_root_coords(rc) for rc in rs.positive_root_coords]
+    assert rs.root_rows == tuple(tuple(int(c) for c in beta.coords) for beta in expected)
+    assert list(rs.positive_roots) == expected and rs.highest_root == expected[-1]
+    out = rs.to_json_dict()
+    assert out["positive_roots"] == [[str(x) for x in rs.root_coords(beta)] for beta in rs.positive_roots]
+    assert out["highest_root"] == [str(x) for x in rs.root_coords(rs.highest_root)]
+    assert rs.supports == tuple({k: c for k, c in enumerate(rs.simple_root(i).coords) if c}
+                                for i in range(rs.rank))
+    gram = rs.gram_of_M()
+    assert gram == rs.gram_coroots
+    gram[0][0] += 1
+    gram[-1].append(0)
+    assert rs.gram_of_M() == rs.gram_coroots
+
+
+def test_library_reads_the_integer_tables_only(monkeypatch):
+    # weight_from_root_coords and root_coords are references; with both made to fail,
+    # building systems, their JSON, character and fusion tables, folds and W still run
+    from alcove import conventions, verlinde, weyl
+
+    def fraction_roots(*args):
+        raise AssertionError("the library read a root through the Fraction inverse Cartan matrix")
+
+    monkeypatch.setattr(rootdata.RootSystem, "weight_from_root_coords", fraction_roots)
+    monkeypatch.setattr(rootdata.RootSystem, "root_coords", fraction_roots)
+    for cached in (build_root_system, conventions._character_table, weyl._skeleton,
+                   weyl._enumerate_cached):
+        cached.cache_clear()
+    for name in ["A2", "B3", "G2", "F4"]:
+        rs = from_name(name)
+        assert rs.to_json_dict()["highest_root"] == [str(m) for m in rs.marks]
+        assert len(conventions.character_table(rs, 1).weights) == rootdata.count_weights_at_level(rs, 1)
+        assert verlinde.fusion_table(rs, 1).max_residual < 1e-9
+        walls, image = weyl.fold(rs, [-3] + [5] * (rs.rank - 1), 2)
+        assert walls and image == weyl.fold(rs, image, 2)[1]
+        assert sum(1 for _ in weyl.iter_weyl(rs)) == weyl.weyl_order(rs)
 
 
 def test_lattice_index_examples():

@@ -36,6 +36,33 @@ def reference_enumeration(rs):
     return sorted(seen.values(), key=lambda w: (len(w.word), w.word))
 
 
+def reference_skeleton(rs):
+    """The BFS that carries each element's word and sorts each word length by it."""
+    supports = [{k: row[i] for k, row in enumerate(rs.cartan) if row[i]} for i in range(rs.rank)]
+    rho = (1,) * rs.rank
+    seen, skeleton = {rho}, [(-1, -1, 1)]
+    level = [(rho, (), 0)]  # (w(rho), word, index) in discovery order
+    while level:
+        found = []
+        for mu, word, t in level:
+            for i, support in enumerate(supports):
+                if mu[i] < 0:
+                    continue
+                key = list(mu)
+                for k, a in support.items():
+                    key[k] -= a * mu[i]
+                key = tuple(key)
+                if key not in seen:
+                    seen.add(key)
+                    found.append([(i,) + word, t, key])
+        sign = -skeleton[-1][2]
+        for entry in sorted(found):
+            entry.append(len(skeleton))
+            skeleton.append((entry[1], entry[0][0], sign))
+        level = [(key, word, t) for word, _, key, t in found]
+    return tuple(skeleton)
+
+
 @lru_cache(maxsize=None)
 def descent_data(rs):
     """The negative roots, and (alpha_i, s_i) for each i, in integer coordinates."""
@@ -96,6 +123,13 @@ def test_enumeration_equals_matrix_product_reference(name):
     expected = [(w.action, w.sign, w.word) for w in reference_enumeration(rs)]
     assert [(w.action, w.sign, w.word) for w in weyl.iter_weyl(rs)] == expected
     assert [(w.action, w.sign, w.word) for w in weyl.enumerate_weyl(rs)] == expected
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5",
+                                  "C3", "C4", "D4", "D5", "E6", "F4", "G2"])
+def test_skeleton_equals_the_word_carrying_reference(name):
+    rs = from_name(name)
+    assert weyl._skeleton(rs) == reference_skeleton(rs)
 
 
 @pytest.mark.parametrize("name", ["D5", "F4"])
