@@ -14,14 +14,14 @@ from __future__ import annotations
 import argparse
 import random
 
-from alcove import chareval, identities, rootdata, weyl
+from alcove import affine, chareval, identities, rootdata, weyl
 from alcove.identities import PoleError
 
 
 def orthogonality_deviation(rs, k, grid_mode, weight_mode, sign_mode, norm_mode) -> float:
     lams = rootdata.weights_at_level(rs, k)
-    wl = weyl.longest_element(rs)
-    contrag = [lams.index(weyl.act(wl, -lam)) for lam in lams]
+    wl = affine.longest_element(rs)
+    contrag = [lams.index(affine.act(wl, -lam)) for lam in lams]
     pref = 1.0 / rootdata.lattice_index(rs, k)
     if norm_mode == "orbit":
         pref /= weyl.weyl_order(rs)

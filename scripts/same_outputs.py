@@ -94,6 +94,11 @@ DEFAULT_JOBS = (
     "roots --series G --rank 2 --elements",
     "roots --series C --rank 4",
     "roots --series E --rank 7",
+    # the record templates: Weyl elements at rank 1 (the identity's word is []),
+    # and fusion triples at rank 1 and at rank 4
+    "roots --series A --rank 1 --elements",
+    "fusion --series A --rank 1 --level 3",
+    "fusion --series D --rank 4 --level 1",
 )
 
 

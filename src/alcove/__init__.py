@@ -3,7 +3,6 @@
 from .rootdata import (ConfigurationError, RootSystem, TorusPoint, Weight,
                        build_root_system, from_name, inner, lattice_index,
                        weights_at_level)
-from .weyl import (AffineWeylElement, AlcovePoint, WeylElement, act, affine_act,
-                   enumerate_weyl, factor_affine, find_alcove, longest_element)
+from .weyl import WeylElement, enumerate_weyl
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ import os
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain
 from math import isfinite
 from types import SimpleNamespace
 
@@ -32,6 +33,7 @@ EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
 EXIT_INTEGRITY = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
+_ITEM = "\n    "  # the indentation of a streamed record: an item of a top-level array
 
 
 def _to_json(o, nl: str = "\n") -> str:
@@ -70,11 +72,20 @@ def _to_json(o, nl: str = "\n") -> str:
     return "[" + inner + ("," + inner).join(items) + nl + "]"
 
 
-def _json_pieces(payload: dict):
+def _template(shape: dict, nl: str = _ITEM) -> str:
+    """The %-template of a record laid out as _to_json lays out shape, whose leaves are "%d" or "%s".
+
+    The leaves' quotes are dropped, so "%s" takes text that is already JSON.
+    """
+    return _to_json(shape, nl).replace('"%d"', "%d").replace('"%s"', "%s")
+
+
+def _json_pieces(payload: dict, writers: dict | None = None):
     """The text _to_json(payload) + "\n" in pieces, one per record of an iterator value.
 
     A top-level value that is an iterator is written as a JSON array, one item
-    at a time, so the output is never held whole.
+    at a time, so the output is never held whole.  writers maps such a key to
+    the function that writes one of its records as _to_json(record, _ITEM) would.
     """
     sep = "{"
     for key in sorted(payload):
@@ -83,24 +94,26 @@ def _json_pieces(payload: dict):
         if not isinstance(value, Iterator):
             yield head + _to_json(value, "\n  ")
             continue
+        write = (writers or {}).get(key) or (lambda item: _to_json(item, _ITEM))
         bracket = "["
         for item in value:
-            yield head + bracket + "\n    " + _to_json(item, "\n    ")
+            yield head + bracket + _ITEM + write(item)
             head, bracket = "", ","
         yield head + ("[]" if bracket == "[" else "\n  ]")
     yield "{}\n" if sep == "{" else "\n}\n"
 
 
-def _emit(fmt: str, out: str | None, payload: dict, csv_rows=None) -> None:
+def _emit(fmt: str, out: str | None, payload: dict, csv_rows=None, writers=None) -> None:
     """Write payload as JSON, or the rows that csv_rows() yields as CSV, piece by piece.
 
-    Every check that can fail runs before this call: the pieces only format
-    data that is already computed.
+    writers maps a streamed key to its record writer (see _json_pieces).  Every
+    check that can fail runs before this call: the pieces only format data that
+    is already computed.
     """
     if fmt == "csv":
         pieces = (",".join(str(c) for c in row) + "\n" for row in csv_rows())
     else:
-        pieces = _json_pieces(payload)
+        pieces = _json_pieces(payload, writers)
     if out:
         try:
             with open(out, "w") as fh:
@@ -109,6 +122,25 @@ def _emit(fmt: str, out: str | None, payload: dict, csv_rows=None) -> None:
             raise ConfigurationError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.writelines(pieces)
+
+
+def _element_writer(rank: int):
+    """The writer of a roots --elements record: one %-template for the rank, and a join for the word."""
+    template = _template({"action": [["%d"] * rank] * rank, "sign": "%d", "word": "%s"})
+    key, entry = _ITEM + "  ", _ITEM + "    "  # the word's closing bracket and its entries
+
+    def write(record):
+        word = record["word"]
+        word = "[" + entry + ("," + entry).join(map(str, word)) + key + "]" if word else "[]"
+        return template % (*chain.from_iterable(record["action"]), record["sign"], word)
+    return write
+
+
+def _triple_writer(labels):
+    """The writer of a fusion triple: one %-template over the labels, quoted once."""
+    template = _template({"a": "%s", "b": "%s", "c": "%s", "n": "%d"})
+    quoted = {label: _quote(label) for label in labels}
+    return lambda t: template % (quoted[t["a"]], quoted[t["b"]], quoted[t["c"]], t["n"])
 
 
 def _weight_label(lam) -> str:
@@ -140,10 +172,9 @@ def cmd_roots(args: SimpleNamespace) -> int:
                                       for k in range(args.level + 1)}
     if args.elements:
         elements = weyl.iter_weyl(rs)  # the group cap raises here, before any output
-        data["weyl_elements"] = ({"word": list(w.word), "sign": w.sign,
-                                  "action": [list(row) for row in w.action]}
+        data["weyl_elements"] = ({"word": w.word, "sign": w.sign, "action": w.action}
                                  for w in elements)
-    _emit(args.fmt, args.out, data)
+    _emit(args.fmt, args.out, data, None, {"weyl_elements": _element_writer(rs.rank)})
     return EXIT_OK
 
 
@@ -236,7 +267,7 @@ def cmd_fusion(args: SimpleNamespace) -> int:
         yield ["a", "b"] + labels
         for a, b, ns in slabs:
             yield [a, b] + ns
-    _emit(args.fmt, args.out, payload, csv_rows)
+    _emit(args.fmt, args.out, payload, csv_rows, {"triples": _triple_writer(labels)})
     return EXIT_OK
 
 

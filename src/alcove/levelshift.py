@@ -16,11 +16,12 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import mul
 
-from . import chareval, stabilizers, weyl
+from . import affine, chareval, stabilizers
+from .affine import AffineWeylElement
 from .identities import PoleError
 from .rootdata import RootSystem, TorusPoint, Weight
 from .stabilizers import FaceData
-from .weyl import AffineWeylElement, WeylElement
+from .weyl import WeylElement
 
 
 class ShiftWitness(namedtuple("ShiftWitness", [
@@ -33,10 +34,10 @@ class ShiftWitness(namedtuple("ShiftWitness", [
 
 def make_witness(rs: RootSystem, face: FaceData, w_aff: AffineWeylElement,
                  w_fin: WeylElement, k: int, lam: Weight) -> ShiftWitness:
-    v = weyl.factor_affine(rs, w_aff, w_fin)
-    lam_row, *sub_roots = chareval.integer_rows((lam,) + stabilizers.sub_positive_roots(rs, face))
+    v = affine.factor_affine(rs, w_aff, w_fin)
+    (lam_row,) = chareval.integer_rows((lam,))
     shift_row = tuple(chareval.row_residues(rs.gram_of_M(), v))  # nu(v), integral as v is in M
-    return ShiftWitness(w_fin, v, k, (lam_row, shift_row, *sub_roots))
+    return ShiftWitness(w_fin, v, k, (lam_row, shift_row, *stabilizers.sub_positive_roots(rs, face)))
 
 
 def wall_witnesses(rs: RootSystem, face: FaceData, k: int, lam: Weight) -> list[ShiftWitness]:

@@ -17,9 +17,10 @@ from itertools import combinations
 from math import prod
 from operator import mul, sub
 
-from . import intlinalg, weyl
+from . import affine, intlinalg, weyl
+from .affine import AffineWeylElement
 from .rootdata import RootSystem, TorusPoint, Weight, _positive_root_closure
-from .weyl import AffineWeylElement, WeylElement
+from .weyl import WeylElement
 
 # 2^9 - 1 faces admits rank <= 8.  `faces` process wall time on a Xeon, Python 3.11 (s):
 # A6 0.4, A7 0.7, A8 1.2, B8 1.1, C8 1.2, D8 1.4, E8 1.5; under 2x per added rank
@@ -65,7 +66,7 @@ def _combination(rs: RootSystem, coeffs, gammas: tuple[Weight, ...]) -> Weight:
 
 def face_data(rs: RootSystem, mu: TorusPoint) -> FaceData:
     """Stabilizer data for a point mu of the closed level-1 alcove."""
-    cert = weyl.alcove_certificate(rs, 1, mu)
+    cert = affine.alcove_certificate(rs, 1, mu)
     if any(p < 0 for p in cert):
         raise DomainError("point is outside the closed alcove")
     delta0 = tuple(i for i in range(rs.rank) if mu.mu_star.coords[i] == 0)
@@ -124,11 +125,11 @@ def enumerate_faces(rs: RootSystem) -> list[tuple[frozenset, FaceData]]:
 def stabilizer_generators(rs: RootSystem, fd: FaceData) -> list[tuple[str, WeylElement, AffineWeylElement]]:
     """Generator triples (label, s_gamma, its lift), one per realized simple root gamma.
 
-    The lift of w is weyl.lift(rs, w, mu, mu, 1): the plain reflection for alpha_i,
+    The lift of w is affine.lift(rs, w, mu, mu, 1): the plain reflection for alpha_i,
     and for the wall root -theta (s_{-theta} = s_theta) the reflection through (theta|x) = 1.
     """
-    gens = [weyl.reflection_in_root(rs, gamma) for gamma in fd.realized_simple_roots]
-    return [(label, w, weyl.lift(rs, w, fd.mu, fd.mu, 1)) for label, w in zip(fd.labels, gens)]
+    gens = [affine.reflection_in_root(rs, gamma) for gamma in fd.realized_simple_roots]
+    return [(label, w, affine.lift(rs, w, fd.mu, fd.mu, 1)) for label, w in zip(fd.labels, gens)]
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +145,7 @@ def stabilizer_subgroup(rs: RootSystem, fd: FaceData) -> tuple[tuple[WeylElement
     for w, (_, wa) in zip(weyl.enumerate_weyl(rs), weyl.orbit(rs, a)):
         diff = list(map(sub, a, wa))
         if not any(map(m.__rmod__, diff)) and not any(sum(map(mul, row, diff)) % (d * m) for row in gram):
-            members.append((w, weyl.lift(rs, w, fd.mu, fd.mu, 1)))
+            members.append((w, affine.lift(rs, w, fd.mu, fd.mu, 1)))
     return tuple(members)
 
 
@@ -155,11 +156,11 @@ def rho_shift(rs: RootSystem, fd: FaceData, w: WeylElement) -> RhoShift:
     face's realized simple roots.  Off the wall the two shifts agree exactly;
     for the wall generator the discrepancy is exactly h^v * theta.
     """
-    reflections = [weyl.reflection_in_root(rs, gamma).action for gamma in fd.realized_simple_roots]
+    reflections = [affine.reflection_in_root(rs, gamma).action for gamma in fd.realized_simple_roots]
     if not w.is_identity and w.action not in reflections:
         raise DomainError("not a generator of the face stabilizer")
-    d_sub = weyl.act(w, fd.rho_mu) - fd.rho_mu
-    d_full = weyl.act(w, rs.rho) - rs.rho
+    d_sub = affine.act(w, fd.rho_mu) - fd.rho_mu
+    d_full = affine.act(w, rs.rho) - rs.rho
     return RhoShift(d_sub, d_full, d_sub - d_full)
 
 
@@ -193,9 +194,14 @@ def _phase_shifts(rs: RootSystem, fd: FaceData, k: int) -> tuple[int, tuple[tupl
 
 
 @lru_cache(maxsize=None)
-def sub_positive_roots(rs: RootSystem, fd: FaceData) -> tuple[Weight, ...]:
-    """Positive roots of the sub-root-system generated by the realized simple roots (cached)."""
+def sub_positive_roots(rs: RootSystem, fd: FaceData) -> tuple[tuple[int, ...], ...]:
+    """Integer rows of the positive roots of the sub-root-system the realized simple roots generate (cached).
+
+    Each root is the combination, with the closure's coefficients, of the realized roots' rows.
+    """
     gammas = fd.realized_simple_roots
     cartan = [[int(_coroot_pairing(rs, g, i)) for g in gammas]
               for i in ((-1,) if fd.on_affine_wall else ()) + fd.delta0]
-    return tuple(_combination(rs, coeffs, gammas) for coeffs in _positive_root_closure(cartan))
+    cols = list(zip(*(map(int, g.coords) for g in gammas)))  # column k: the gammas' k-th entries
+    return tuple(tuple(sum(map(mul, coeffs, col)) for col in cols)
+                 for coeffs in _positive_root_closure(cartan))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcove import chareval, conventions, identities, intlinalg, rootdata, weyl
+from alcove import affine, chareval, conventions, identities, intlinalg, rootdata, weyl
 from alcove.chareval import SingularPointError, character, integer_rows, is_regular, \
     localization_sum, phase, residues, row_residues, weyl_denominator
 from alcove.rootdata import TorusPoint, Weight, from_name, inner
@@ -58,7 +58,7 @@ def test_residue_is_the_exact_pairing(name, data):
     group = weyl.enumerate_weyl(rs)
     w = group[data.draw(st.integers(0, len(group) - 1))]
     h = row_residues(zip(*w.action), v)  # the pullback w.action^T v that levelshift reads
-    assert Fraction(row_residues(rows, h)[0], n) == inner(rs, weyl.act(w, a), x.mu_star)
+    assert Fraction(row_residues(rows, h)[0], n) == inner(rs, affine.act(w, a), x.mu_star)
 
 
 def test_non_integral_weight_has_no_exponential():
@@ -147,7 +147,7 @@ def test_character_weyl_invariance(name):
             continue
         base = character(rs, lam, x)
         for w in weyl.enumerate_weyl(rs):
-            moved = TorusPoint(weyl.act(w, x.mu_star))
+            moved = TorusPoint(affine.act(w, x.mu_star))
             assert abs(character(rs, lam, moved) - base) < 1e-9
 
 
@@ -158,7 +158,7 @@ def test_denominator_modulus_weyl_invariant(name):
     x = identities.random_rational_point(rs, rng)
     base = abs(weyl_denominator(rs, x))
     for w in weyl.enumerate_weyl(rs):
-        moved = TorusPoint(weyl.act(w, x.mu_star))
+        moved = TorusPoint(affine.act(w, x.mu_star))
         assert abs(abs(weyl_denominator(rs, moved)) - base) < 1e-9
 
 
@@ -307,9 +307,9 @@ def fraction_denominator(rs, x):
 def fraction_localization_sum(rs, lam, x):
     total = 0j
     for w in weyl.enumerate_weyl(rs):
-        term = fraction_exp(rs, weyl.act(w, lam), x)
+        term = fraction_exp(rs, affine.act(w, lam), x)
         for alpha in rs.positive_roots:
-            term /= 1 - fraction_exp(rs, -weyl.act(w, alpha), x)
+            term /= 1 - fraction_exp(rs, -affine.act(w, alpha), x)
         total += term
     return total
 
@@ -319,8 +319,8 @@ def fraction_path_character(rs, lam, x):
     num = 0j
     den = 0j
     for w in weyl.enumerate_weyl(rs):
-        num += w.sign * fraction_exp(rs, weyl.act(w, lam + rs.rho), x)
-        den += w.sign * fraction_exp(rs, weyl.act(w, rs.rho), x)
+        num += w.sign * fraction_exp(rs, affine.act(w, lam + rs.rho), x)
+        den += w.sign * fraction_exp(rs, affine.act(w, rs.rho), x)
     return num / den
 
 

@@ -378,13 +378,13 @@ CLI_CORE = ["alcove", "alcove.cli", "alcove.intlinalg", "alcove.rootdata", "alco
 @pytest.mark.parametrize("argv,layers", [
     (None, []),
     (["roots", "--series", "A", "--rank", "1"], []),
-    (["faces", "--series", "A", "--rank", "2"], ["stabilizers"]),
+    (["faces", "--series", "A", "--rank", "2"], ["affine", "stabilizers"]),
     (["char", "--series", "A", "--rank", "1", "--weight", "1", "--point", "1/3"], ["chareval"]),
     (["grid", "--series", "A", "--rank", "1"], ["chareval", "conventions"]),
     (["fusion", "--series", "A", "--rank", "1"], ["chareval", "conventions", "verlinde"]),
     (["verify", "--series", "A", "--rank", "1", "--samples", "2"],
-     ["chareval", "conventions", "identities", "levelshift", "stabilizers", "verify",
-      "verlinde"]),
+     ["affine", "chareval", "conventions", "identities", "levelshift", "stabilizers",
+      "verify", "verlinde"]),
 ])
 def test_each_subcommand_loads_only_the_layers_it_runs(argv, layers, tmp_path):
     """Start-up cost: every job compiles what it imports, so a subcommand imports its own layers."""
@@ -535,6 +535,18 @@ def test_streamed_pieces_join_to_the_whole_text(payload, data):
     assert "".join(cli._json_pieces(mixed)) == whole
 
 
+# Jobs whose streamed records are written from a %-template (cli._element_writer,
+# cli._triple_writer): A1's identity has the word [], and A1 k=3 and C3 k=1 are
+# fusion tables of rank 1 and 3.
+TEMPLATED = {
+    "roots-A1-elements": ["roots", "--series", "A", "--rank", "1", "--elements"],
+    "roots-G2-elements": ["roots", "--series", "G", "--rank", "2", "--elements"],
+    "roots-F4-elements": ["roots", "--series", "F", "--rank", "4", "--elements"],
+    "fusion-A1-k3": ["fusion", "--series", "A", "--rank", "1", "--level", "3"],
+    "fusion-C3-k1": ["fusion", "--series", "C", "--rank", "3", "--level", "1"],
+}
+
+
 @pytest.mark.parametrize("args", [
     ["roots", "--series", "B", "--rank", "2", "--elements"],
     ["faces", "--series", "G", "--rank", "2"],
@@ -544,7 +556,9 @@ def test_streamed_pieces_join_to_the_whole_text(payload, data):
     ["fusion", "--series", "G", "--rank", "2", "--level", "2"],
     ["fusion", "--series", "A", "--rank", "2", "--level", "3", "--pair", "1,0", "1,1"],
     ["verify", "--series", "A", "--rank", "1", "--level", "1", "--samples", "5"],
-], ids=["roots", "faces", "char", "grid", "grid-full", "fusion", "fusion-pair", "verify"])
+    *TEMPLATED.values(),
+], ids=["roots", "faces", "char", "grid", "grid-full", "fusion", "fusion-pair", "verify",
+        *TEMPLATED])
 def test_every_payload_is_written_as_json_dumps_writes_it(capsys, monkeypatch, args):
     payloads = []
     emit = cli._emit
@@ -560,6 +574,25 @@ def test_every_payload_is_written_as_json_dumps_writes_it(capsys, monkeypatch, a
     code, out, _ = run(capsys, *args)
     assert code == 0 and len(payloads) == 1
     assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("args", [*TEMPLATED.values(), ["fusion", "--series", "A", "--rank", "2",
+                                                         "--level", "3", "--pair", "1,0", "1,1"]],
+                         ids=[*TEMPLATED, "fusion-pair"])
+def test_streamed_records_skip_the_recursive_writer(capsys, monkeypatch, args):
+    """_to_json writes a record shape once, for its template, and no record after that."""
+    records_written = []
+    to_json = cli._to_json
+
+    def counting(o, nl="\n"):
+        if isinstance(o, dict) and nl == cli._ITEM:  # a record, or the shape of one
+            records_written.append(o)
+        return to_json(o, nl)
+
+    monkeypatch.setattr(cli, "_to_json", counting)
+    code, out, _ = run(capsys, *args)
+    records = json.loads(out)["weyl_elements" if args[0] == "roots" else "triples"]
+    assert code == 0 and len(records) > 1 and len(records_written) == 1
 
 
 class _Writes(io.StringIO):

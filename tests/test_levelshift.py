@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from alcove import chareval, identities, levelshift, rootdata, stabilizers, weyl
+from alcove import affine, chareval, identities, levelshift, rootdata, stabilizers, weyl
 from alcove.levelshift import (make_witness, regular_lattice_points,
                                shift_rule_residual, wall_witnesses)
 from alcove.rootdata import TorusPoint, from_name, inner
@@ -16,6 +16,11 @@ def lattice_exponential_is_one(rs, witness, x):
     return angle.denominator == 1
 
 
+def affine_reflection_theta(rs):
+    """Reflection through (theta|x) = k: s_theta followed by translation by theta^v."""
+    return affine.AffineWeylElement(affine.reflection_in_root(rs, rs.highest_root), rs.comarks)
+
+
 def wall_faces(rs):
     return [fd for _, fd in stabilizers.enumerate_faces(rs) if fd.on_affine_wall]
 
@@ -23,7 +28,7 @@ def wall_faces(rs):
 def test_trivial_witness_has_zero_residual():
     rs = from_name("A1")
     fd = wall_faces(rs)[0]
-    ident_wit = make_witness(rs, fd, weyl.identity_affine(rs),
+    ident_wit = make_witness(rs, fd, affine.identity_affine(rs),
                              weyl.identity_element(rs), 1, rs.fundamental_weight(0))
     assert ident_wit.v == (0,)
     x = regular_lattice_points(rs, 1)[0]
@@ -34,8 +39,8 @@ def test_a1_wall_generator_exponential_is_one_on_lattice():
     # e^{(k+h^v) v} at m/(k+h^v): the angle 3<theta^v, m/3> is an integer
     rs = from_name("A1")
     fd = wall_faces(rs)[0]
-    wit = make_witness(rs, fd, weyl.affine_reflection_theta(rs),
-                       weyl.reflection_in_root(rs, rs.highest_root), 1,
+    wit = make_witness(rs, fd, affine_reflection_theta(rs),
+                       affine.reflection_in_root(rs, rs.highest_root), 1,
                        rs.fundamental_weight(0))
     assert wit.v == rs.comarks
     for m, p in chareval.full_grid(rs, 1):
@@ -45,8 +50,8 @@ def test_a1_wall_generator_exponential_is_one_on_lattice():
 def test_exponential_fails_off_lattice():
     rs = from_name("A1")
     fd = wall_faces(rs)[0]
-    wit = make_witness(rs, fd, weyl.affine_reflection_theta(rs),
-                       weyl.reflection_in_root(rs, rs.highest_root), 1,
+    wit = make_witness(rs, fd, affine_reflection_theta(rs),
+                       affine.reflection_in_root(rs, rs.highest_root), 1,
                        rs.fundamental_weight(0))
     n = 1 + rs.dual_coxeter
     off = TorusPoint(rs.coroot_to_weight_space(rs.lattice_Mstar_basis[0])
@@ -115,8 +120,8 @@ def test_lattice_form_fails_off_lattice(name):
 def test_witness_rejects_mismatched_pair():
     rs = from_name("A1")
     fd = wall_faces(rs)[0]
-    with pytest.raises(weyl.MismatchError):
-        make_witness(rs, fd, weyl.affine_reflection_theta(rs),
+    with pytest.raises(affine.MismatchError):
+        make_witness(rs, fd, affine_reflection_theta(rs),
                      weyl.identity_element(rs), 1, rs.zero_weight())
 
 

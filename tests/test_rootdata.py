@@ -210,17 +210,17 @@ def test_lattice_index_against_coset_closure(name, k):
 
 
 def test_longest_element_examples():
-    from alcove import weyl
+    from alcove import affine
     a1 = from_name("A1")
-    assert weyl.longest_element(a1).word == (0,)
+    assert affine.longest_element(a1).word == (0,)
     a2 = from_name("A2")
-    wl = weyl.longest_element(a2)
+    wl = affine.longest_element(a2)
     assert len(wl.word) == 3
-    assert weyl.act(wl, a2.simple_root(0)) == -a2.simple_root(1)
+    assert affine.act(wl, a2.simple_root(0)) == -a2.simple_root(1)
     b2 = from_name("B2")
-    wl = weyl.longest_element(b2)
+    wl = affine.longest_element(b2)
     for i in range(2):
-        assert weyl.act(wl, b2.fundamental_weight(i)) == -b2.fundamental_weight(i)
+        assert affine.act(wl, b2.fundamental_weight(i)) == -b2.fundamental_weight(i)
 
 
 def test_weights_at_level_examples():
@@ -284,10 +284,10 @@ def test_weight_coordinate_roundtrip():
         assert rs.weight_from_coords(w.coords) == w
         assert rs.weight_from_root_coords(rs.root_coords(w)) == w
     # records are immutable and hash by value
-    from alcove import conventions, verify, weyl
+    from alcove import affine, conventions, verify, weyl
     rs = from_name("A2")
     lam = rs.weight_from_coords([1, 2])
-    w = weyl.longest_element(rs)
+    w = affine.longest_element(rs)
     table = conventions.character_table(rs, 1)
     for record, field in [(lam, "coords"), (w, "sign"), (table, "weights"),
                           (verify.Settings(), "seed")]:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from alcove import intlinalg, rootdata, stabilizers, weyl
+from alcove import affine, intlinalg, rootdata, stabilizers, weyl
 from alcove.rootdata import TorusPoint, from_name, inner
 from alcove.stabilizers import DomainError, enumerate_faces, face_data
 
@@ -71,9 +71,25 @@ def test_duality_and_rho_mu(name):
                 assert val == (1 if i == j else 0)
         # rho_mu is the half sum of the sub-system's positive roots
         half = rs.zero_weight()
-        for beta in stabilizers.sub_positive_roots(rs, fd):
-            half = half + beta.scale(Fraction(1, 2))
+        for row in stabilizers.sub_positive_roots(rs, fd):
+            half = half + rs.weight_from_coords(row).scale(Fraction(1, 2))
         assert half == fd.rho_mu
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "F4",
+                                  "G2", "E6"])
+def test_sub_root_rows_equal_the_fraction_construction(name):
+    """Each row is the sub-root built as a Fraction weight, sum_k c_k gamma_k, in closure order."""
+    rs = from_name(name)
+    for _, fd in enumerate_faces(rs):
+        gammas = fd.realized_simple_roots
+        nodes = ((-1,) if fd.on_affine_wall else ()) + fd.delta0
+        cartan = [[int(stabilizers._coroot_pairing(rs, g, i)) for g in gammas] for i in nodes]
+        expected = [sum((g.scale(c) for c, g in zip(coeffs, gammas)), rs.zero_weight())
+                    for coeffs in rootdata._positive_root_closure(cartan)]
+        rows = stabilizers.sub_positive_roots(rs, fd)
+        assert all(type(c) is int for row in rows for c in row)
+        assert [rs.weight_from_coords(row) for row in rows] == expected
 
 
 @pytest.mark.parametrize("name", FACE_SYSTEMS + ["F4", "E6"])
@@ -110,7 +126,7 @@ def test_rho_shift_off_wall_difference_is_minus_root():
     mu = TorusPoint(rs.fundamental_weight(1).scale(Fraction(1, 3)))  # alpha_0 wall only
     fd = face_data(rs, mu)
     assert fd.delta0 == (0,) and not fd.on_affine_wall
-    s0 = weyl.simple_reflection(rs, 0)
+    s0 = affine.simple_reflection(rs, 0)
     shift = stabilizers.rho_shift(rs, fd, s0)
     assert shift.sub_difference == -rs.simple_root(0)
     assert shift.full_difference == -rs.simple_root(0)
@@ -121,7 +137,7 @@ def test_rho_shift_rejects_non_generators():
     mu = TorusPoint(rs.fundamental_weight(1).scale(Fraction(1, 3)))
     fd = face_data(rs, mu)
     with pytest.raises(DomainError):
-        stabilizers.rho_shift(rs, fd, weyl.simple_reflection(rs, 1))
+        stabilizers.rho_shift(rs, fd, affine.simple_reflection(rs, 1))
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
@@ -191,14 +207,14 @@ def test_library_reads_nu_in_integers_only(monkeypatch):
         n = 1 + rs.dual_coxeter
         for _, fd in enumerate_faces(rs):
             for _, aff in stabilizers.stabilizer_subgroup(rs, fd):
-                assert weyl.affine_act(rs, aff, fd.mu, 1) == fd.mu
+                assert affine.affine_act(rs, aff, fd.mu, 1) == fd.mu
             for _, fin, _ in stabilizers.stabilizer_generators(rs, fd):
                 stabilizers.rho_shift(rs, fd, fin)
             assert all(stabilizers.lattice_phase_check(rs, fd, 1, tuple(Fraction(x, n) for x in row))
                        for row in rs.lattice_Mstar_basis)
         x = TorusPoint(rs.weight_from_coords([Fraction(7, 3)] + [Fraction(-5, 2)] * (rs.rank - 1)))
-        g, ap = weyl.find_alcove(rs, 2, x)
-        assert not g.is_identity and weyl.affine_act(rs, g, x, 2) == ap.point
+        g, ap = affine.find_alcove(rs, 2, x)
+        assert not g.is_identity and affine.affine_act(rs, g, x, 2) == ap.point
 
 
 @pytest.mark.parametrize("name", FACE_SYSTEMS)
@@ -235,10 +251,10 @@ def test_stabilizer_subgroup_is_closed_and_paired():
             for fin, aff in pairs:
                 # each lift fixes the face point at level 1, its translation is the
                 # Fraction reference nu^-1(mu - w mu) = gram_weights (mu - w mu) ...
-                assert weyl.affine_act(rs, aff, fd.mu, 1) == fd.mu
-                assert aff.translation == intlinalg.mat_vec(rs.gram_weights, (mu - weyl.act(fin, mu)).coords)
+                assert affine.affine_act(rs, aff, fd.mu, 1) == fd.mu
+                assert aff.translation == intlinalg.mat_vec(rs.gram_weights, (mu - affine.act(fin, mu)).coords)
                 # ... and factors through its finite part with translation in M
-                assert rs.in_lattice_M(weyl.factor_affine(rs, aff, fin))
+                assert rs.in_lattice_M(affine.factor_affine(rs, aff, fin))
             # the affine parts hold the identity and are closed under left
             # multiplication by the generators' lifts, so they are the group those generate
             keys = {(aff.finite.action, aff.translation) for _, aff in pairs}
@@ -247,16 +263,17 @@ def test_stabilizer_subgroup_is_closed_and_paired():
                 for _, aff in pairs:
                     product = gen * aff
                     assert (product.finite.action, product.translation) in keys
-                if label == "affine":
-                    assert gen == weyl.affine_reflection_theta(rs)
+                if label == "affine":  # s_theta, then translation by theta^v
+                    assert gen == affine.AffineWeylElement(
+                        affine.reflection_in_root(rs, rs.highest_root), rs.comarks)
                 else:
-                    assert gen == weyl.affine_from_finite(fin, rs.rank)
+                    assert gen == affine.AffineWeylElement(fin, (0,) * rs.rank)
 
 
 def reference_closure(rs, fd):
     """(finite action, translation) of each element the generators' lifts generate, by closure."""
     gens = [gen for _, _, gen in stabilizers.stabilizer_generators(rs, fd)]
-    identity = weyl.identity_affine(rs)
+    identity = affine.identity_affine(rs)
     group, seen = [identity], {(identity.finite.action, identity.translation)}
     for g in group:  # a queue that grows while it is walked
         for gen in gens:
@@ -305,8 +322,8 @@ def test_stabilizer_subgroup_obeys_the_group_cap(monkeypatch):
     rs = from_name("E7")
     fd = face_data(rs, TorusPoint(rs.rho.scale(Fraction(1, 2 * rs.dual_coxeter))))
     assert fd.realized_simple_roots == ()
-    for name in ("iter_weyl", "orbit", "lift"):
-        monkeypatch.setattr(weyl, name, no_work)
+    for module, name in ((weyl, "iter_weyl"), (weyl, "orbit"), (affine, "lift")):
+        monkeypatch.setattr(module, name, no_work)
     with pytest.raises(weyl.ResourceError, match="exceeds cap"):
         stabilizers.stabilizer_subgroup(rs, fd)
 

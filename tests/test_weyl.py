@@ -10,8 +10,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from alcove import intlinalg, rootdata, weyl
+from alcove import affine, intlinalg, rootdata, weyl
 from alcove.rootdata import TorusPoint, from_name, inner
+
+
+def affine_from_finite(w, rank):
+    return affine.AffineWeylElement(w, (0,) * rank)
+
+
+def affine_reflection_theta(rs):
+    """Reflection through (theta|x) = k: s_theta followed by translation by theta^v."""
+    return affine.AffineWeylElement(affine.reflection_in_root(rs, rs.highest_root), rs.comarks)
 
 
 def is_negative_root_vector(rs, w):
@@ -20,7 +29,7 @@ def is_negative_root_vector(rs, w):
 
 def reference_enumeration(rs):
     """The matrix-product BFS: full products s_i * w, duplicates keyed by the whole matrix."""
-    gens = [weyl.simple_reflection(rs, i) for i in range(rs.rank)]
+    gens = [affine.simple_reflection(rs, i) for i in range(rs.rank)]
     ident = weyl.identity_element(rs)
     seen = {ident.action: ident}
     frontier = [ident]
@@ -67,7 +76,7 @@ def reference_skeleton(rs):
 def descent_data(rs):
     """The negative roots, and (alpha_i, s_i) for each i, in integer coordinates."""
     negative = {tuple(-int(c) for c in beta.coords) for beta in rs.positive_roots}
-    return negative, [(tuple(row[i] for row in rs.cartan), weyl.simple_reflection(rs, i))
+    return negative, [(tuple(row[i] for row in rs.cartan), affine.simple_reflection(rs, i))
                       for i in range(rs.rank)]
 
 
@@ -97,20 +106,20 @@ def reference_reflection(rs, beta):
 
 def reference_affine_act(rs, g, x, k):
     """The level-k action through the Fraction nu: w x + k coroot_to_weight_space(t)."""
-    return TorusPoint(weyl.act(g.finite, x.mu_star) + rs.coroot_to_weight_space(g.translation).scale(k))
+    return TorusPoint(affine.act(g.finite, x.mu_star) + rs.coroot_to_weight_space(g.translation).scale(k))
 
 
 def reference_find_alcove(rs, k, x):
     """The Fraction loop: reflect in the lowest negative certificate entry until none is left."""
-    g, current = weyl.identity_affine(rs), x
-    r_theta = weyl.affine_reflection_theta(rs)
-    simples = [weyl.affine_from_finite(weyl.simple_reflection(rs, i), rs.rank)
+    g, current = affine.identity_affine(rs), x
+    r_theta = affine_reflection_theta(rs)
+    simples = [affine_from_finite(affine.simple_reflection(rs, i), rs.rank)
                for i in range(rs.rank)]
     while True:
-        cert = weyl.alcove_certificate(rs, k, current)
+        cert = affine.alcove_certificate(rs, k, current)
         bad = next((i for i, p in enumerate(cert) if p < 0), None)
         if bad is None:
-            return g, weyl.AlcovePoint(current, k, cert)
+            return g, affine.AlcovePoint(current, k, cert)
         step = simples[bad] if bad < rs.rank else r_theta
         g = step * g
         current = reference_affine_act(rs, step, current, k)
@@ -178,7 +187,7 @@ def test_orbit_is_the_signed_image_under_enumerate_weyl(name):
     rs = from_name(name)
     group = weyl.enumerate_weyl(rs)
     for a in (rs.rho, rs.highest_root, rs.fundamental_weight(rs.rank - 1) + rs.rho):
-        expected = [(w.sign, weyl.act(w, a).coords) for w in group]
+        expected = [(w.sign, affine.act(w, a).coords) for w in group]
         got = weyl.orbit(rs, [int(c) for c in a.coords])
         assert got == expected
         assert all(type(x) is int for _, u in got for x in u)
@@ -247,13 +256,13 @@ def test_sign_is_a_homomorphism(i, j):
 
 def test_act_examples():
     a1 = from_name("A1")
-    s = weyl.simple_reflection(a1, 0)
-    assert weyl.act(s, a1.fundamental_weight(0)) == -a1.fundamental_weight(0)
+    s = affine.simple_reflection(a1, 0)
+    assert affine.act(s, a1.fundamental_weight(0)) == -a1.fundamental_weight(0)
     a2 = from_name("A2")
-    s1 = weyl.simple_reflection(a2, 0)
-    assert weyl.act(s1, a2.simple_root(1)) == a2.simple_root(0) + a2.simple_root(1)
+    s1 = affine.simple_reflection(a2, 0)
+    assert affine.act(s1, a2.simple_root(1)) == a2.simple_root(0) + a2.simple_root(1)
     ident = weyl.identity_element(a2)
-    assert weyl.act(ident, a2.rho) == a2.rho
+    assert affine.act(ident, a2.rho) == a2.rho
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
@@ -264,10 +273,10 @@ def test_action_preserves_form_and_roots(name):
         roots.add(beta.coords)
         roots.add((-beta).coords)
     for w in weyl.enumerate_weyl(rs):
-        assert inner(rs, weyl.act(w, rs.rho), weyl.act(w, rs.highest_root)) == \
+        assert inner(rs, affine.act(w, rs.rho), affine.act(w, rs.highest_root)) == \
             inner(rs, rs.rho, rs.highest_root)
         for beta in rs.positive_roots:
-            assert weyl.act(w, beta).coords in roots
+            assert affine.act(w, beta).coords in roots
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])
@@ -277,10 +286,10 @@ def test_flipped_root_sum_identity(name):
     for w in weyl.enumerate_weyl(rs):
         total = rs.zero_weight()
         for alpha in rs.positive_roots:
-            image = weyl.act(w, alpha)
+            image = affine.act(w, alpha)
             if is_negative_root_vector(rs, image):
                 total = total + image
-        assert total == weyl.act(w, rs.rho) - rs.rho
+        assert total == affine.act(w, rs.rho) - rs.rho
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
@@ -298,26 +307,26 @@ def test_group_closure_and_inverses(name):
 def test_affine_identity_and_base_reflection():
     a1 = from_name("A1")
     x = TorusPoint(a1.weight_from_coords([Fraction(1, 5)]))
-    assert weyl.affine_act(a1, weyl.identity_affine(a1), x, 1) == x
+    assert affine.affine_act(a1, affine.identity_affine(a1), x, 1) == x
     # reflection about (theta|x) = 1 sends 0 to nu(theta^v) = theta
-    r = weyl.affine_reflection_theta(a1)
+    r = affine_reflection_theta(a1)
     origin = TorusPoint(a1.zero_weight())
-    assert weyl.affine_act(a1, r, origin, 1).mu_star == a1.highest_root
+    assert affine.affine_act(a1, r, origin, 1).mu_star == a1.highest_root
 
 
 def test_affine_composition_law():
     rs = from_name("B2")
-    r = weyl.affine_reflection_theta(rs)
-    s = weyl.affine_from_finite(weyl.simple_reflection(rs, 0), rs.rank)
+    r = affine_reflection_theta(rs)
+    s = affine_from_finite(affine.simple_reflection(rs, 0), rs.rank)
     lhs = r * s
     # (w1,m1)(w2,m2) = (w1 w2, m1 + w1(m2)); with m2 = 0 the translation is m1
     assert lhs.translation == r.translation
     rhs = s * r
-    assert rhs.translation == weyl.act_on_coroot_coords(s.finite, r.translation)
+    assert rhs.translation == affine.act_on_coroot_coords(s.finite, r.translation)
     x = TorusPoint(rs.weight_from_coords([Fraction(2, 7), Fraction(3, 11)]))
     for k in (1, 2):
-        via_pair = weyl.affine_act(rs, r, weyl.affine_act(rs, s, x, k), k)
-        assert weyl.affine_act(rs, lhs, x, k) == via_pair
+        via_pair = affine.affine_act(rs, r, affine.affine_act(rs, s, x, k), k)
+        assert affine.affine_act(rs, lhs, x, k) == via_pair
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
@@ -327,32 +336,32 @@ def test_alcove_tiling_interior_is_free(name):
     rs = from_name(name)
     k = 2
     interior = TorusPoint(rs.rho.scale(Fraction(k, 2 * rs.dual_coxeter)))
-    assert all(p > 0 for p in weyl.alcove_certificate(rs, k, interior))
+    assert all(p > 0 for p in affine.alcove_certificate(rs, k, interior))
     rng = random.Random(1)
     group = weyl.enumerate_weyl(rs)
     for _ in range(25):
         w = rng.choice(group)
         # coordinates in the basis of M, the simple coroots
         trans = tuple(rng.randrange(-2, 3) for _ in range(rs.rank))
-        g = weyl.AffineWeylElement(w, trans)
+        g = affine.AffineWeylElement(w, trans)
         if g.is_identity:
             continue
-        image = weyl.affine_act(rs, g, interior, k)
-        assert not all(p > 0 for p in weyl.alcove_certificate(rs, k, image))
+        image = affine.affine_act(rs, g, interior, k)
+        assert not all(p > 0 for p in affine.alcove_certificate(rs, k, image))
 
 
 def test_find_alcove_examples():
     a1 = from_name("A1")
     inside = TorusPoint(a1.weight_from_coords([Fraction(1, 3)]))
-    g, ap = weyl.find_alcove(a1, 1, inside)
+    g, ap = affine.find_alcove(a1, 1, inside)
     assert g.is_identity and ap.point == inside
     # (theta|x) = 3/2 reflects to 1/2
     x = TorusPoint(a1.weight_from_root_coords([Fraction(3, 4)]))
     assert inner(a1, a1.highest_root, x.mu_star) == Fraction(3, 2)
-    g, ap = weyl.find_alcove(a1, 1, x)
+    g, ap = affine.find_alcove(a1, 1, x)
     assert inner(a1, a1.highest_root, ap.point.mu_star) == Fraction(1, 2)
     # idempotence
-    g2, ap2 = weyl.find_alcove(a1, 1, ap.point)
+    g2, ap2 = affine.find_alcove(a1, 1, ap.point)
     assert g2.is_identity and ap2.point == ap.point
 
 
@@ -362,10 +371,10 @@ def test_find_alcove_examples():
 def test_find_alcove_lands_in_alcove_and_certifies(coords):
     rs = from_name("A2")
     x = TorusPoint(rs.weight_from_coords(coords))
-    g, ap = weyl.find_alcove(rs, 2, x)
+    g, ap = affine.find_alcove(rs, 2, x)
     assert all(p >= 0 for p in ap.chamber_certificate)
-    assert weyl.affine_act(rs, g, x, 2) == ap.point
-    assert ap.chamber_certificate == weyl.alcove_certificate(rs, 2, ap.point)
+    assert affine.affine_act(rs, g, x, 2) == ap.point
+    assert ap.chamber_certificate == affine.alcove_certificate(rs, 2, ap.point)
 
 
 @settings(max_examples=40, deadline=None)
@@ -377,7 +386,7 @@ def test_alcove_certificate_equals_form_reference(name, k, coords):
     rs = from_name(name)
     x = TorusPoint(rs.weight_from_coords(coords[:rs.rank]))
     expected = x.mu_star.coords + (k - inner(rs, rs.highest_root, x.mu_star),)
-    assert weyl.alcove_certificate(rs, k, x) == expected
+    assert affine.alcove_certificate(rs, k, x) == expected
 
 
 @settings(max_examples=20, deadline=None)
@@ -387,10 +396,10 @@ def test_alcove_certificate_equals_form_reference(name, k, coords):
 def test_find_alcove_representative_is_orbit_invariant(coords, widx, trans):
     rs = from_name("B2")
     x = TorusPoint(rs.weight_from_coords(coords))
-    _, ap = weyl.find_alcove(rs, 2, x)
-    h = weyl.AffineWeylElement(weyl.enumerate_weyl(rs)[widx], tuple(trans))
-    moved = weyl.affine_act(rs, h, x, 2)
-    _, ap2 = weyl.find_alcove(rs, 2, moved)
+    _, ap = affine.find_alcove(rs, 2, x)
+    h = affine.AffineWeylElement(weyl.enumerate_weyl(rs)[widx], tuple(trans))
+    moved = affine.affine_act(rs, h, x, 2)
+    _, ap2 = affine.find_alcove(rs, 2, moved)
     assert ap2.point == ap.point
 
 
@@ -401,7 +410,7 @@ def test_find_alcove_representative_is_orbit_invariant(coords, widx, trans):
 def test_find_alcove_equals_fraction_loop_reference(name, k, coords):
     rs = from_name(name)
     x = TorusPoint(rs.weight_from_coords(coords[:rs.rank]))
-    assert weyl.find_alcove(rs, k, x) == reference_find_alcove(rs, k, x)
+    assert affine.find_alcove(rs, k, x) == reference_find_alcove(rs, k, x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -413,33 +422,33 @@ def test_affine_act_and_lift_equal_the_fraction_nu(name, k, widx, trans, coords)
     # affine_act reads nu(t) = gram_of_M() t; lift inverts it: the one element over w sending x to y
     rs = from_name(name)
     group = weyl.enumerate_weyl(rs)
-    g = weyl.AffineWeylElement(group[widx % len(group)], tuple(trans[:rs.rank]))
+    g = affine.AffineWeylElement(group[widx % len(group)], tuple(trans[:rs.rank]))
     x = TorusPoint(rs.weight_from_coords(coords[:rs.rank]))
-    y = weyl.affine_act(rs, g, x, k)
+    y = affine.affine_act(rs, g, x, k)
     assert y == reference_affine_act(rs, g, x, k)
-    assert weyl.lift(rs, g.finite, x, y, k) == g
+    assert affine.lift(rs, g.finite, x, y, k) == g
 
 
 def test_lift_refuses_a_translation_off_the_coroot_lattice_and_a_nonpositive_level():
     rs = from_name("A2")
     ident, x = weyl.identity_element(rs), TorusPoint(rs.zero_weight())
     # nu^-1(Lambda_0) = (2/3, 1/3) in simple coroots is not in Q^v; nu^-1(theta) = theta^v is
-    with pytest.raises(weyl.MismatchError):
-        weyl.lift(rs, ident, x, TorusPoint(rs.fundamental_weight(0)), 1)
-    assert weyl.lift(rs, ident, x, TorusPoint(rs.highest_root), 1).translation == rs.comarks
-    with pytest.raises(weyl.MismatchError):  # theta / 2 at level 2 needs translation theta^v / 4
-        weyl.lift(rs, ident, x, TorusPoint(rs.highest_root.scale(Fraction(1, 2))), 2)
+    with pytest.raises(affine.MismatchError):
+        affine.lift(rs, ident, x, TorusPoint(rs.fundamental_weight(0)), 1)
+    assert affine.lift(rs, ident, x, TorusPoint(rs.highest_root), 1).translation == rs.comarks
+    with pytest.raises(affine.MismatchError):  # theta / 2 at level 2 needs translation theta^v / 4
+        affine.lift(rs, ident, x, TorusPoint(rs.highest_root.scale(Fraction(1, 2))), 2)
     for k in (0, -1):
         with pytest.raises(ValueError, match="affine action needs a positive level"):
-            weyl.lift(rs, ident, x, x, k)
+            affine.lift(rs, ident, x, x, k)
 
 
 @pytest.mark.parametrize("name", ["A1", "B2", "G2", "B3"])
 def test_find_alcove_at_level_zero_fixes_the_origin(name):
     rs = from_name(name)
     origin = TorusPoint(rs.zero_weight())
-    g, ap = weyl.find_alcove(rs, 0, origin)
-    assert g.is_identity and ap == weyl.AlcovePoint(origin, 0, (0,) * (rs.rank + 1))
+    g, ap = affine.find_alcove(rs, 0, origin)
+    assert g.is_identity and ap == affine.AlcovePoint(origin, 0, (0,) * (rs.rank + 1))
     assert weyl.fold(rs, (0,) * rs.rank, 0) == ((), (0,) * rs.rank)
 
 
@@ -453,7 +462,7 @@ def test_nonpositive_level_raises_instead_of_looping(name, k, coords):
     x = TorusPoint(rs.weight_from_coords(coords[:rs.rank]))
     assume(k < 0 or not x.is_zero)
     with pytest.raises(ValueError, match="affine action needs a positive level"):
-        weyl.find_alcove(rs, k, x)
+        affine.find_alcove(rs, k, x)
 
 
 UP_TO_RANK_6 = ([f"A{r}" for r in range(1, 7)] + [f"B{r}" for r in range(2, 7)]
@@ -465,8 +474,8 @@ def test_reflection_in_root_equals_greedy_descent_reference(name):
     rs = from_name(name)
     for beta in rs.positive_roots:
         expected = reference_reflection(rs, beta)
-        assert weyl.reflection_in_root(rs, beta) == expected
-        assert weyl.reflection_in_root(rs, -beta) == expected
+        assert affine.reflection_in_root(rs, beta) == expected
+        assert affine.reflection_in_root(rs, -beta) == expected
 
 
 @pytest.mark.parametrize("name", ["A1", "B2", "C3", "G2", "D4", "F4"])
@@ -479,7 +488,7 @@ def test_reflection_in_root_refuses_a_vector_that_is_not_a_root(name):
         if v in rs.positive_roots or -v in rs.positive_roots:
             continue
         with pytest.raises(ValueError, match="is not a root"):
-            weyl.reflection_in_root(rs, v)
+            affine.reflection_in_root(rs, v)
 
 
 @pytest.mark.parametrize("name", ["E7", "E8"])
@@ -499,8 +508,8 @@ def test_folded_words_are_reduced_on_e7_and_e8(name):
         assert u == tuple(map(sum, w.action))
 
     for beta in rs.positive_roots:
-        check(weyl.reflection_in_root(rs, beta))
-    w_long = weyl.longest_element(rs)
+        check(affine.reflection_in_root(rs, beta))
+    w_long = affine.longest_element(rs)
     check(w_long)
     assert len(w_long.word) == len(positive)
 
@@ -516,27 +525,27 @@ def test_fold_undoes_the_orbit_with_its_sign(name):
 
 def test_factor_affine_contracts():
     a1 = from_name("A1")
-    s_theta = weyl.reflection_in_root(a1, a1.highest_root)
-    r_theta = weyl.affine_reflection_theta(a1)
-    assert weyl.factor_affine(a1, r_theta, s_theta) == a1.comarks
+    s_theta = affine.reflection_in_root(a1, a1.highest_root)
+    r_theta = affine_reflection_theta(a1)
+    assert affine.factor_affine(a1, r_theta, s_theta) == a1.comarks
     # finite element factors trivially
     ident = weyl.identity_element(a1)
-    assert weyl.factor_affine(a1, weyl.affine_from_finite(ident, 1), ident) == (0,)
-    with pytest.raises(weyl.MismatchError):
-        weyl.factor_affine(a1, r_theta, ident)
+    assert affine.factor_affine(a1, affine_from_finite(ident, 1), ident) == (0,)
+    with pytest.raises(affine.MismatchError):
+        affine.factor_affine(a1, r_theta, ident)
 
 
 def test_factor_affine_composition():
     # factoring g1 g2 gives v1 + w1(v2), a lattice element
     rs = from_name("B2")
-    g1 = weyl.affine_reflection_theta(rs)
-    s0 = weyl.affine_from_finite(weyl.simple_reflection(rs, 0), rs.rank)
+    g1 = affine_reflection_theta(rs)
+    s0 = affine_from_finite(affine.simple_reflection(rs, 0), rs.rank)
     g2 = s0 * g1 * s0  # conjugate: nontrivial translation part
-    v1 = weyl.factor_affine(rs, g1, g1.finite)
-    v2 = weyl.factor_affine(rs, g2, g2.finite)
+    v1 = affine.factor_affine(rs, g1, g1.finite)
+    v2 = affine.factor_affine(rs, g2, g2.finite)
     product = g1 * g2
-    v = weyl.factor_affine(rs, product, g1.finite * g2.finite)
-    assert v == tuple(a + b for a, b in zip(v1, weyl.act_on_coroot_coords(g1.finite, v2)))
+    v = affine.factor_affine(rs, product, g1.finite * g2.finite)
+    assert v == tuple(a + b for a, b in zip(v1, affine.act_on_coroot_coords(g1.finite, v2)))
     assert rs.in_lattice_M(v)
 
 
@@ -547,10 +556,10 @@ def test_coroot_action_preserves_pairing(name):
     fund = [rs.fundamental_weight(i) for i in range(rs.rank)]
     coroots = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
     for w in weyl.enumerate_weyl(rs):
-        moved = [weyl.act_on_coroot_coords(w, v) for v in coroots]
+        moved = [affine.act_on_coroot_coords(w, v) for v in coroots]
         assert all(type(x) is int for u in moved for x in u)
         for lam in fund:
-            w_lam = weyl.act(w, lam)
+            w_lam = affine.act(w, lam)
             for v, u in zip(coroots, moved):
                 assert sum(map(mul, w_lam.coords, u)) == sum(map(mul, lam.coords, v))
 
