@@ -99,6 +99,15 @@ DEFAULT_JOBS = (
     "roots --series A --rank 1 --elements",
     "fusion --series A --rank 1 --level 3",
     "fusion --series D --rank 4 --level 1",
+    # shifted grids whose points y / (k+h^v) have a common factor in some rows, the
+    # contragredient of non-self-dual weights, F4's symmetrizer 1/2, and a rational
+    # point whose coordinates have distinct denominators
+    "grid --series G --rank 2 --level 3",
+    "grid --series C --rank 3 --level 2",
+    "fusion --series D --rank 5 --level 1",
+    "fusion --series E --rank 6 --level 1",
+    "roots --series F --rank 4",
+    "char --series B --rank 3 --weight 0,0,1 --point 1/4,1/6,1/10",
 )
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import lcm
 from operator import mul
 
 from . import intlinalg
@@ -93,7 +94,8 @@ def longest_element(rs: RootSystem) -> WeylElement:
     """Fold -rho back to the dominant chamber; the walls, in order, are a reduced word for w_L."""
     walls, _ = fold(rs, (-1,) * rs.rank)
     w = reduce(WeylElement.__mul__, [simple_reflection(rs, i) for i in walls], identity_element(rs))
-    assert all(not act(w, beta).is_dominant for beta in rs.positive_roots)
+    if any(act(w, beta).is_dominant for beta in rs.positive_roots):
+        raise AssertionError("the walls that fold -rho are not a word for the longest element")
     return w
 
 
@@ -107,16 +109,17 @@ def affine_act(rs: RootSystem, g: AffineWeylElement, x: TorusPoint, k: int) -> T
     """Level-k action: finite part first, then translate by k nu(t) = k gram_of_M() t."""
     if k < 1:
         raise ValueError("affine action needs a positive level")
-    moved, shift = act(g.finite, x.mu_star).coords, intlinalg.mat_vec(rs.gram_of_M(), g.translation)
-    return TorusPoint(Weight(tuple(c + k * s for c, s in zip(moved, shift))))
+    shift = intlinalg.mat_vec(rs.gram_of_M(), g.translation)  # x = y / m moves to (w y + k m shift) / m
+    return TorusPoint.of([sum(map(mul, row, x.y)) + k * x.m * s
+                          for row, s in zip(g.finite.action, shift)], x.m)
 
 
 def lift(rs: RootSystem, w: WeylElement, x: TorusPoint, y: TorusPoint, k: int) -> AffineWeylElement:
     """The affine element over w sending x to y at level k: translation nu^-1(y - w x) / k, in M."""
     if k < 1:
         raise ValueError("affine action needs a positive level")
-    (d, gram), (m, ac) = rs.nu_inverse, intlinalg.clear_denominators(x.mu_star.coords + y.mu_star.coords)
-    a, c = ac[:rs.rank], ac[rs.rank:]
+    (d, gram), m = rs.nu_inverse, lcm(x.m, y.m)
+    a, c = [ai * (m // x.m) for ai in x.y], [ci * (m // y.m) for ci in y.y]  # x = a / m, y = c / m
     t = intlinalg.mat_vec(gram, [ci - sum(map(mul, row, a)) for ci, row in zip(c, w.action)])
     if any(v % (d * m * k) for v in t):  # t = D m k * translation
         raise MismatchError("nu^-1(y - w x) / k is not in the coroot lattice M = Q^v")
@@ -129,14 +132,13 @@ def alcove_certificate(rs: RootSystem, k: int, x: TorusPoint) -> tuple[Fraction,
 
 
 def find_alcove(rs: RootSystem, k: int, x: TorusPoint) -> tuple[AffineWeylElement, AlcovePoint]:
-    """Fold x into the closed alcove kC: d x, d the lcm of x's denominators, folds at level d*k.
+    """Fold x into the closed alcove kC: x = y / m, so y folds at level m*k.
 
     Returns g, the lift over the crossed walls' finite reflections (last wall
     leftmost), so affine_act(rs, g, x, k) is the certified representative.
     """
-    d, scaled = intlinalg.clear_denominators(x.mu_star.coords)
-    walls, image = fold(rs, scaled, d * k)
-    point = TorusPoint(Weight(tuple(Fraction(c, d) for c in image)))
+    walls, image = fold(rs, x.y, x.m * k)
+    point = TorusPoint.of(image, x.m)
     steps = {i: simple_reflection(rs, i) if i < rs.rank else reflection_in_root(rs, rs.highest_root)
              for i in set(walls)}  # the crossed walls' finite reflections; the affine wall is rank
     w = reduce(lambda w, i: steps[i] * w, walls, identity_element(rs))

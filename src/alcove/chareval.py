@@ -5,8 +5,8 @@ unity, evaluated on an exact integer residue mod N, never on a float angle.
 With (D, G) = rs.nu_inverse, the integer nu^-1 (G / D = gram_weights), a point
 x = y / m (y integral in fundamental-weight coordinates) has N = D * m and
 v = G y, so (a | x) = (a . v) / N for the integer row a of an integral
-weight; phase(r, N) = exp(2 pi i (r mod N) / N).  residues(rs, x) takes m = d_x,
-the lcm of the denominators of x; a level-k grid takes m = k + h^v at every
+weight; phase(r, N) = exp(2 pi i (r mod N) / N).  residues(rs, x) reads the
+point's own normal form (x.y, x.m); a level-k grid takes m = k + h^v at every
 point, so one N and one phase table serve it.  r / N is the same double for any
 such N: the correctly rounded reduced angle.  One per-point routine gives the
 Weyl denominator, regularity and the characters: sums of sign(w) phase((w a) . v)
@@ -20,12 +20,11 @@ bitwise, and reference_enumeration in tests/test_weyl.py.
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
 from functools import cache, lru_cache, partial, reduce
 from itertools import product, repeat
 from operator import add, mul
 
-from . import intlinalg, weyl
+from . import weyl
 from .rootdata import (GRID_FULL, GRID_SHIFTED, RootSystem, TorusPoint, Weight,
                        smith_of_M, weights_at_level)
 
@@ -39,8 +38,7 @@ class SingularPointError(ValueError):
 def residues(rs: RootSystem, x: TorusPoint) -> tuple[int, list[int]]:
     """(N, v) with (a | x) = (a . v) / N exactly for the integer row a of every integral weight."""
     d, gram = rs.nu_inverse
-    dx, scaled = intlinalg.clear_denominators(x.mu_star.coords)
-    return d * dx, [sum(map(mul, row, scaled)) for row in gram]
+    return d * x.m, [sum(map(mul, row, x.y)) for row in gram]
 
 
 def integer_rows(weights) -> tuple[tuple[int, ...], ...]:
@@ -96,7 +94,8 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
         g = [sum(map(mul, row, beta)) for row in gram]  # D (Lambda_j | beta)
         num *= sum(map(mul, shifted, g))
         den *= sum(g)
-    assert num % den == 0
+    if num % den:
+        raise AssertionError("the Weyl dimension formula gave a non-integer")
     return num // den
 
 
@@ -205,14 +204,15 @@ def _grid(rs: RootSystem, k: int, mode: str) -> list:
     """
     n = k + rs.dual_coxeter
     if mode == GRID_SHIFTED:
-        labeled = [(lam, [int(c) + 1 for c in lam.coords]) for lam in weights_at_level(rs, k)]
+        labeled = [(lam, [c + 1 for c in lam.coords]) for lam in weights_at_level(rs, k)]
     elif mode == GRID_FULL:
+        from fractions import Fraction  # the labels: rational coroot coordinates
         (d, gram), (u_inv, divisors) = rs.nu_inverse, smith_of_M(rs)
         ys = [[sum(map(mul, row, c)) for row in u_inv] for c in product(*(range(n * e) for e in divisors))]
         labeled = [(tuple(Fraction(sum(map(mul, row, y)), d) for row in gram), y) for y in ys]
     else:
         raise ValueError(f"unknown grid mode {mode!r}")
-    return [(label, y, TorusPoint(Weight(tuple(Fraction(c, n) for c in y)))) for label, y in labeled]
+    return [(label, y, TorusPoint.of(y, n)) for label, y in labeled]
 
 
 def special_grid(rs: RootSystem, k: int, mode: str = GRID_SHIFTED):
@@ -225,6 +225,6 @@ def shifted_grid(rs: RootSystem, k: int) -> list[tuple[Weight, TorusPoint]]:
     return special_grid(rs, k, GRID_SHIFTED)
 
 
-def full_grid(rs: RootSystem, k: int) -> list[tuple[tuple[Fraction, ...], TorusPoint]]:
+def full_grid(rs: RootSystem, k: int) -> list[tuple[tuple, TorusPoint]]:
     """Coset representatives of M*/(k+h^v)M, labeled by their coroot coordinates."""
     return special_grid(rs, k, GRID_FULL)

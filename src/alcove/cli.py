@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import sys
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import chain
 from math import isfinite
 from types import SimpleNamespace
@@ -26,7 +25,7 @@ except ImportError:  # an interpreter without the C accelerator
     from json.encoder import encode_basestring_ascii as _quote
 
 from . import rootdata, weyl
-from .rootdata import ConfigurationError, TorusPoint
+from .rootdata import ConfigurationError, TorusPoint, rational_text
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -143,6 +142,11 @@ def _triple_writer(labels):
     return lambda t: template % (quoted[t["a"]], quoted[t["b"]], quoted[t["c"]], t["n"])
 
 
+def _point_text(x: TorusPoint) -> list[str]:
+    """The coordinates of the point y / m as JSON strings, "n" or "n/d" in lowest terms."""
+    return [rational_text(c, x.m) for c in x.y]
+
+
 def _weight_label(lam) -> str:
     return "+".join(f"{int(c)}w{i}" for i, c in enumerate(lam.coords) if c) or "0"
 
@@ -199,13 +203,15 @@ def cmd_faces(args: SimpleNamespace) -> int:
 
 
 def cmd_char(args: SimpleNamespace) -> int:
+    from fractions import Fraction
+
     from . import chareval
     rs = rootdata.build_root_system(args.series, args.rank)
     lam = _parse_coords(rs, args.weight, "weight", "integer", int)
     x = TorusPoint(_parse_coords(rs, args.point, "point", "rational", Fraction))
     value = chareval.character(rs, lam, x)
     _emit(args.fmt, args.out, {"schema": "alcove/char/v1", "weight": _weight_label(lam),
-                               "point": [str(c) for c in x.mu_star.coords],
+                               "point": _point_text(x),
                                "re": value.real, "im": value.imag})
     return EXIT_OK
 
@@ -215,7 +221,7 @@ def cmd_grid(args: SimpleNamespace) -> int:
     rs = rootdata.build_root_system(args.series, args.rank)
     table = conventions.character_table(rs, args.level, args.grid)
     lams, rows = table.weights, table.values
-    points = [[str(c) for c in p.mu_star.coords] for p in table.points]
+    points = list(map(_point_text, table.points))
     payload = {
         "schema": "alcove/grid/v1",
         "system": f"{args.series}{args.rank}", "level": args.level, "grid_mode": table.mode,

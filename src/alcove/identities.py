@@ -9,7 +9,6 @@ alcove.verify turns the residuals into reports.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 
 from . import chareval, conventions, weyl
@@ -24,8 +23,7 @@ class PoleError(ValueError):
 
 def random_rational_point(rs: RootSystem, rng: random.Random) -> TorusPoint:
     den = rng.choice(PRIME_DENOMINATORS)
-    coords = [Fraction(rng.randrange(1, den), den) for _ in range(rs.rank)]
-    return TorusPoint(rs.weight_from_coords(coords))
+    return TorusPoint.of([rng.randrange(1, den) for _ in range(rs.rank)], den)
 
 
 # -- the vanishing double Weyl sum --------------------------------------------

@@ -41,10 +41,6 @@ def mat_inverse(m: Mat) -> Mat:
     return [row[n:] for row in a]
 
 
-def is_integral(v) -> bool:
-    return all(Fraction(x).denominator == 1 for x in v)
-
-
 def clear_denominators(values) -> tuple[int, list[int]]:
     """(m, [m * v for v in values]): m the lcm of the rationals' denominators, m * v as ints."""
     m = lcm(*(v.denominator for v in values))

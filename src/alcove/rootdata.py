@@ -1,26 +1,28 @@
 """Static data of a simple root system, normalized so (theta|theta) = 2.
 
-All arithmetic is exact.  A weight is stored once, in fundamental-weight
+All arithmetic is exact, and the datum is built in integers.  A weight is
+stored once, in fundamental-weight coordinates, as ints when it is integral;
+a torus point is stored once as y / m with y an integer row in those
 coordinates.  The library reads integer tables built once per system from the
 root closure and the Cartan matrix: the positive roots in simple-root
 coordinates (positive_root_coords) and as rows <beta, alpha_k^v> (root_rows,
 theta's last), the support {k: c_ki} of each alpha_i (supports), and nu in
 integers, nu(v) = gram_of_M() v and nu^-1(lam) = G lam / D with
-(D, G) = nu_inverse.  The Fraction matrices gram_weights, gram_coroots and
-inv_cartan, and root_coords, weight_from_root_coords, coroot_of and
-coroot_to_weight_space, are references.
+(D, G) = nu_inverse, the fraction-free adjugate of gram_of_M() (Bareiss, Math.
+Comp. 22 (1968)) reduced by its gcd.  The Fraction symmetrizers and matrices
+gram_weights, gram_coroots, inv_cartan and lattice_Mstar_basis, and
+root_coords, weight_from_root_coords, coroot_of and coroot_to_weight_space,
+are references, computed only when read.  They, the Smith form of the full
+grid, Weight.scale and the mu_star of a non-integral point are the only
+users of fractions and alcove.intlinalg here.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from functools import lru_cache
-from math import prod
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 from operator import mul
-
-from . import intlinalg
-from .intlinalg import Mat
 
 SERIES_RANKS = {
     "A": lambda l: l >= 1,
@@ -51,10 +53,11 @@ class ConfigurationError(ValueError):
 
 # Records are namedtuples: importing dataclasses costs about 25 ms per CLI process.
 class Weight(namedtuple("Weight", "coords")):
-    """Exact-rational vector in fundamental-weight coordinates.
+    """Exact-rational vector in fundamental-weight coordinates (ints or Fractions).
 
     coords[i] is the pairing <lam, alpha_i^v>; the simple-root expansion is
-    RootSystem.root_coords(lam), a reference.
+    RootSystem.root_coords(lam), a reference.  An int and the equal Fraction
+    hash and compare alike, so either may stand for an integral coordinate.
     """
 
     __slots__ = ()
@@ -69,6 +72,7 @@ class Weight(namedtuple("Weight", "coords")):
         return Weight(tuple(-a for a in self.coords))
 
     def scale(self, c) -> "Weight":
+        from fractions import Fraction
         c = Fraction(c)
         return Weight(tuple(c * a for a in self.coords))
 
@@ -85,19 +89,49 @@ class Weight(namedtuple("Weight", "coords")):
         return all(a >= 0 for a in self.coords)
 
 
-class TorusPoint(namedtuple("TorusPoint", "mu_star")):
-    """Point of the maximal torus, recorded through the bilinear form.
+class TorusPoint(namedtuple("TorusPoint", "y m")):
+    """Point of the maximal torus, y / m in normal form: y integral, m > 0, gcd(m, y) = 1.
 
-    mu_star is the Weight image in weight space of the Lie-algebra
-    representative, so a weight lam pairs with the point as (lam|mu_star);
-    exponentials of integral weights at the point are roots of unity.
+    y / m is the Weight image mu_star in weight space of the Lie-algebra
+    representative, in fundamental-weight coordinates, so a weight lam pairs
+    with the point as (lam|mu_star); exponentials of integral weights at the
+    point are roots of unity.  TorusPoint(mu_star) takes the Weight;
+    TorusPoint.of(y, m) takes any integer row over any modulus m > 0.
     """
 
     __slots__ = ()
 
+    def __new__(cls, mu_star: Weight) -> "TorusPoint":
+        m = lcm(*(c.denominator for c in mu_star.coords))
+        return tuple.__new__(cls, (tuple(c.numerator * (m // c.denominator) for c in mu_star.coords), m))
+
+    @classmethod
+    def of(cls, y, m: int) -> "TorusPoint":
+        """The point y / m, reduced by gcd(m, y)."""
+        y = tuple(y)
+        g = gcd(m, *y)
+        return tuple.__new__(cls, (tuple(c // g for c in y), m // g))
+
+    def __reduce__(self):
+        return TorusPoint.of, tuple(self)
+
+    @property
+    def mu_star(self) -> Weight:
+        """The Weight y / m, with int coordinates when m = 1 (the JSON boundary and the references)."""
+        if self.m == 1:
+            return Weight(self.y)
+        from fractions import Fraction
+        return Weight(tuple(Fraction(c, self.m) for c in self.y))
+
     @property
     def is_zero(self) -> bool:
-        return self.mu_star.is_zero
+        return not any(self.y)
+
+
+def rational_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, in integers: "n" or "n/d" in lowest terms."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 def _cartan_matrix(series: str, rank: int) -> list[list[int]]:
@@ -133,21 +167,43 @@ def _cartan_matrix(series: str, rank: int) -> list[list[int]]:
     return c
 
 
-def _symmetrizers(cartan: list[list[int]]) -> list[Fraction]:
-    """Solve d_i c_ij = d_j c_ji over the (connected) Dynkin graph."""
+def _symmetrizers(cartan: list[list[int]]) -> list[int]:
+    """Coprime positive integers d with d_i c_ij = d_j c_ji over the (connected) Dynkin graph."""
     rank = len(cartan)
-    d: list[Fraction | None] = [None] * rank
-    d[0] = Fraction(1)
+    d = [1] + [0] * (rank - 1)
     stack = [0]
     while stack:
         i = stack.pop()
         for j in range(rank):
-            if i != j and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+            if i != j and cartan[i][j] != 0 and not d[j]:
+                d = [x * -cartan[j][i] for x in d]  # c_ji < 0 divides d_i c_ij now
+                d[j] = d[i] * cartan[i][j] // cartan[j][i]
                 stack.append(j)
-    if any(x is None for x in d):
+    if not all(d):
         raise ConfigurationError("Dynkin diagram is not connected")
-    return d  # type: ignore[return-value]
+    g = gcd(*d)
+    return [x // g for x in d]
+
+
+def _adjugate(m: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(det m, adj m) of a positive definite integer matrix, by fraction-free Gauss-Jordan.
+
+    Bareiss's exact division by the previous pivot keeps every entry of [m | 1]
+    an integer minor; the pivots are leading principal minors, positive here.
+    The last step leaves det m times the identity beside adj m.
+    """
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = pivot
+    return prev, [row[n:] for row in a]
 
 
 def _positive_root_closure(cartan: list[list[int]]) -> list[tuple[int, ...]]:
@@ -180,30 +236,28 @@ class RootSystem:
         self.series = series
         self.rank = rank
         self.cartan = _cartan_matrix(series, rank)
-        self.inv_cartan: Mat = intlinalg.mat_inverse(intlinalg.frac_matrix(self.cartan))
 
         d = _symmetrizers(self.cartan)
         pos = _positive_root_closure(self.cartan)
         theta_rc = pos[-1]  # the highest root: the closure is sorted by height
         if any(any(b > t for b, t in zip(beta, theta_rc)) for beta in pos):
             raise AssertionError("highest root is not unique in the root order")
-        # rescale the form so that (theta|theta) = 2 exactly
+        # rescale the form so that (theta|theta) = 2: d_i -> 2 d_i / theta_norm = e_i / s
         theta_norm = sum(d[i] * self.cartan[i][j] * theta_rc[i] * theta_rc[j]
                          for i in range(rank) for j in range(rank))
-        scale = Fraction(2) / theta_norm
-        self.symmetrizers = tuple(x * scale for x in d)
+        g = gcd(2, theta_norm)  # gcd(d) = 1
+        s, e = theta_norm // g, [2 * x // g for x in d]
+        self._symmetrizers = (s, tuple(e))  # d_i = e_i / s
 
-        # (Lambda_i | Lambda_j) = d_i * inv_cartan[i][j]
-        self.gram_weights: Mat = [[self.symmetrizers[i] * self.inv_cartan[i][j]
-                                   for j in range(rank)] for i in range(rank)]
-        # (alpha_i^v | alpha_j^v) = cartan[i][j] / d_j
-        self.gram_coroots: Mat = [[Fraction(self.cartan[i][j]) / self.symmetrizers[j]
-                                   for j in range(rank)] for i in range(rank)]
-        if not intlinalg.is_integral(c for row in self.gram_coroots for c in row):
+        # (alpha_i^v | alpha_j^v) = cartan[i][j] / d_j = cartan[i][j] s / e_j
+        if any(c * s % e_j for row in self.cartan for c, e_j in zip(row, e)):
             raise AssertionError("the Gram matrix of M must be integral")
-        self._gram_of_M = tuple(tuple(map(int, row)) for row in self.gram_coroots)
-        den, flat = intlinalg.clear_denominators([c for row in self.gram_weights for c in row])
-        self.nu_inverse = (den, tuple(tuple(flat[i:i + rank]) for i in range(0, len(flat), rank)))  # G / D
+        self._gram_of_M = tuple(tuple(c * s // e_j for c, e_j in zip(row, e)) for row in self.cartan)
+        # nu^-1 = gram_weights = gram_of_M()^-1 = adj / det, reduced by the gcd of det and adj
+        det, adj = _adjugate(self._gram_of_M)
+        g = gcd(det, *(c for row in adj for c in row))
+        self.nu_inverse = (det // g, tuple(tuple(c // g for c in row) for row in adj))  # G / D
+        self._index_of_M = det  # |M*/M|; the Gram matrix is positive definite
 
         # the roots as rows <beta, alpha_k^v> = sum_j cartan[k][j] beta_j; alpha_i = column i
         self.positive_root_coords = tuple(pos)
@@ -213,31 +267,60 @@ class RootSystem:
         self.positive_roots = tuple(map(self.weight_from_coords, self.root_rows))
         self.highest_root = self.positive_roots[-1]
         self.marks = theta_rc
-        comarks = [Fraction(a) * di for a, di in zip(theta_rc, self.symmetrizers)]
-        if not intlinalg.is_integral(comarks):
+        if any(a * e_i % s for a, e_i in zip(theta_rc, e)):
             raise AssertionError("comarks must be integers")
-        self.comarks = tuple(int(x) for x in comarks)  # theta^v in simple-coroot coordinates
+        self.comarks = tuple(a * e_i // s for a, e_i in zip(theta_rc, e))  # theta^v = sum a_i d_i alpha_i^v
         self.dual_coxeter = 1 + sum(self.comarks)
         self.rho = self.weight_from_coords([1] * rank)
 
-        # M, the span of the Weyl orbit of theta^v, is the coroot lattice Q^v: W is
-        # transitive on the long roots, whose coroots span Q^v.  Its basis is the
-        # simple coroots, and the dual basis of M* = nu^-1(P) is nu^-1 of the
-        # fundamental weights, whose coroot coordinates are the rows of gram_weights.
-        self.lattice_Mstar_basis = tuple(tuple(row) for row in self.gram_weights)
+    # -- Fraction references, computed when read --------------------------------
+
+    @cached_property
+    def symmetrizers(self) -> tuple:
+        """d_i = (alpha_i|alpha_i) / 2 as Fractions."""
+        from fractions import Fraction
+        s, e = self._symmetrizers
+        return tuple(Fraction(x, s) for x in e)
+
+    @cached_property
+    def inv_cartan(self) -> list[list]:
+        from . import intlinalg
+        return intlinalg.mat_inverse(intlinalg.frac_matrix(self.cartan))
+
+    @cached_property
+    def gram_weights(self) -> list[list]:
+        """(Lambda_i | Lambda_j) = d_i * inv_cartan[i][j]."""
+        return [[self.symmetrizers[i] * self.inv_cartan[i][j] for j in range(self.rank)]
+                for i in range(self.rank)]
+
+    @cached_property
+    def gram_coroots(self) -> list[list]:
+        """(alpha_i^v | alpha_j^v) = cartan[i][j] / d_j."""
+        return [[self.cartan[i][j] / self.symmetrizers[j] for j in range(self.rank)]
+                for i in range(self.rank)]
+
+    @cached_property
+    def lattice_Mstar_basis(self) -> tuple:
+        """The dual basis nu^-1(Lambda_j) of M* in coroot coordinates: the rows of gram_weights.
+
+        M, the span of the Weyl orbit of theta^v, is the coroot lattice Q^v: W is
+        transitive on the long roots, whose coroots span Q^v.  Its basis is the
+        simple coroots, and M* = nu^-1(P).
+        """
+        return tuple(tuple(row) for row in self.gram_weights)
 
     # -- coordinates ---------------------------------------------------------
 
     def weight_from_coords(self, coords) -> Weight:
-        return Weight(tuple(Fraction(x) for x in coords))
+        return Weight(tuple(coords))
 
     def weight_from_root_coords(self, rc) -> Weight:
-        rc = [Fraction(x) for x in rc]
-        return Weight(tuple(sum(self.cartan[k][j] * rc[j] for j in range(self.rank))
-                            for k in range(self.rank)))
+        rc = tuple(rc)
+        return Weight(tuple(sum(map(mul, row, rc)) for row in self.cartan))
 
-    def root_coords(self, lam: Weight) -> tuple[Fraction, ...]:
+    def root_coords(self, lam: Weight) -> tuple:
         """lam expanded in simple roots: inv_cartan . coords."""
+        from . import intlinalg
         return intlinalg.mat_vec(self.inv_cartan, lam.coords)
 
     def zero_weight(self) -> Weight:
@@ -251,10 +334,9 @@ class RootSystem:
 
     def coroot_to_weight_space(self, coroot_coords) -> Weight:
         """Image under the bilinear-form identification: alpha_j^v -> alpha_j / d_j."""
-        rc = tuple(Fraction(v) / self.symmetrizers[j] for j, v in enumerate(coroot_coords))
-        return self.weight_from_root_coords(rc)
+        return self.weight_from_root_coords(v / d for v, d in zip(coroot_coords, self.symmetrizers))
 
-    def coroot_of(self, root: Weight) -> tuple[Fraction, ...]:
+    def coroot_of(self, root: Weight) -> tuple:
         """Coordinates of root^v = 2 root/(root|root) in the simple-coroot basis."""
         norm = inner(self, root, root)
         rc = self.root_coords(root)
@@ -267,17 +349,17 @@ class RootSystem:
         return [list(row) for row in self._gram_of_M]
 
     def in_lattice_M(self, coroot_coords) -> bool:
-        return intlinalg.is_integral(coroot_coords)
+        return all(c.denominator == 1 for c in coroot_coords)
 
     def in_lattice_Mstar(self, coroot_coords) -> bool:
-        return intlinalg.is_integral(intlinalg.mat_vec(self.gram_coroots, coroot_coords))
+        return self.in_lattice_M(sum(map(mul, row, coroot_coords)) for row in self._gram_of_M)
 
     def to_json_dict(self) -> dict:
         return {
             "series": self.series,
             "rank": self.rank,
             "cartan": self.cartan,
-            "symmetrizers": [str(d) for d in self.symmetrizers],
+            "symmetrizers": [rational_text(x, self._symmetrizers[0]) for x in self._symmetrizers[1]],
             "positive_roots": [list(map(str, rc)) for rc in self.positive_root_coords],
             "highest_root": list(map(str, self.marks)),
             "marks": list(self.marks),
@@ -310,23 +392,22 @@ def from_name(name: str) -> RootSystem:
     return build_root_system(name[0].upper(), int(name[1:]))
 
 
-def inner(rs: RootSystem, a: Weight, b: Weight) -> Fraction:
+def inner(rs: RootSystem, a: Weight, b: Weight):
     """Invariant bilinear form (a|b) via the fundamental-weight Gram matrix."""
     return sum(a.coords[i] * rs.gram_weights[i][j] * b.coords[j]
                for i in range(rs.rank) for j in range(rs.rank))
 
 
 def lattice_index(rs: RootSystem, k: int) -> int:
-    """Order of M*/(k+h^v)M: (k+h^v)^rank times the order of M*/M.
+    """Order of M*/(k+h^v)M: (k+h^v)^rank times the order |det gram_of_M()| of M*/M.
 
     M = Q^v and nu(M*) = P, so the change-of-basis matrix of (k+h^v) * (simple
     coroots) in the basis nu^-1(Lambda_j) of M* is the integer matrix
-    (k+h^v) * gram_of_M(), whose elementary divisors are k+h^v times the
-    divisors d of smith_of_M(rs): the index is (k+h^v)^rank prod(d).
+    (k+h^v) * gram_of_M(), whose determinant is the index.
     """
     if k < 0:
         raise ConfigurationError("level must be nonnegative")
-    return (k + rs.dual_coxeter) ** rs.rank * prod(smith_of_M(rs)[1])
+    return (k + rs.dual_coxeter) ** rs.rank * rs._index_of_M
 
 
 @lru_cache(maxsize=None)
@@ -334,6 +415,7 @@ def smith_of_M(rs: RootSystem) -> tuple[tuple[tuple[int, ...], ...], tuple[int, 
     """(u^-1, d) of the Smith form u gram_of_M() v = diag(d), computed once per system.
 
     That of n gram_of_M() is (u, n d, v) for n > 0: every pivot, quotient and divisibility test scales."""
+    from . import intlinalg
     u, diag, _ = intlinalg.smith_normal_form(rs.gram_of_M())
     return (tuple(tuple(map(int, row)) for row in intlinalg.mat_inverse(intlinalg.frac_matrix(u))),
             tuple(diag[i][i] for i in range(rs.rank)))

@@ -69,7 +69,7 @@ def face_data(rs: RootSystem, mu: TorusPoint) -> FaceData:
     cert = affine.alcove_certificate(rs, 1, mu)
     if any(p < 0 for p in cert):
         raise DomainError("point is outside the closed alcove")
-    delta0 = tuple(i for i in range(rs.rank) if mu.mu_star.coords[i] == 0)
+    delta0 = tuple(i for i, c in enumerate(mu.y) if c == 0)
     on_wall = cert[rs.rank] == 0
 
     nodes = ((-1,) if on_wall else ()) + delta0  # -1 is the wall root -theta
@@ -140,7 +140,7 @@ def stabilizer_subgroup(rs: RootSystem, fd: FaceData) -> tuple[tuple[WeylElement
     is in it iff nu^-1(mu - w mu) is in Q^v: with mu = a / m, m | a - w a and D m | G (a - w a),
     (D, G) = rs.nu_inverse, read in integers off weyl.orbit(rs, a).  Only members are lifted.
     """
-    (d, gram), (m, a) = rs.nu_inverse, intlinalg.clear_denominators(fd.mu.mu_star.coords)
+    (d, gram), (a, m) = rs.nu_inverse, fd.mu
     members = []
     for w, (_, wa) in zip(weyl.enumerate_weyl(rs), weyl.orbit(rs, a)):
         diff = list(map(sub, a, wa))

@@ -9,11 +9,10 @@ inversion applied to pointwise products of characters.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from operator import sub
 
-from . import conventions, intlinalg, weyl
-from .rootdata import RootSystem, Weight, count_weights_at_level
+from . import conventions, weyl
+from .rootdata import RootSystem, TorusPoint, Weight, count_weights_at_level
 from .weyl import ResourceError
 
 ROUNDING_ERROR_THRESHOLD = 1e-4
@@ -45,8 +44,8 @@ def contragredient(rs: RootSystem, a: Weight) -> Weight:
     """w_L(-a), the highest weight of the dual module: -a folded into the dominant chamber."""
     if not a.is_dominant:
         raise ValueError("contragredient expects a dominant weight")
-    m, scaled = intlinalg.clear_denominators((-a).coords)  # the fold commutes with scaling by m > 0
-    return Weight(tuple(Fraction(c, m) for c in weyl.fold(rs, scaled)[1]))
+    x = TorusPoint(-a)  # -a = y / m, m = 1 when a is integral; the fold commutes with scaling by m
+    return TorusPoint.of(weyl.fold(rs, x.y)[1], x.m).mu_star
 
 
 def synthesize(rs: RootSystem, k: int, multiplicities: dict[Weight, int],

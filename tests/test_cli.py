@@ -372,30 +372,44 @@ def test_cli_import_skips_the_json_package():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
-CLI_CORE = ["alcove", "alcove.cli", "alcove.intlinalg", "alcove.rootdata", "alcove.weyl"]
+CLI_CORE = ["alcove", "alcove.cli", "alcove.rootdata", "alcove.weyl"]
+FRACTIONS = ["decimal", "fractions", "numbers"]  # fractions imports the other two
 
 
 @pytest.mark.parametrize("argv,layers", [
     (None, []),
     (["roots", "--series", "A", "--rank", "1"], []),
-    (["faces", "--series", "A", "--rank", "2"], ["affine", "stabilizers"]),
+    (["faces", "--series", "A", "--rank", "2"], ["affine", "intlinalg", "stabilizers"]),
     (["char", "--series", "A", "--rank", "1", "--weight", "1", "--point", "1/3"], ["chareval"]),
     (["grid", "--series", "A", "--rank", "1"], ["chareval", "conventions"]),
     (["fusion", "--series", "A", "--rank", "1"], ["chareval", "conventions", "verlinde"]),
     (["verify", "--series", "A", "--rank", "1", "--samples", "2"],
-     ["affine", "chareval", "conventions", "identities", "levelshift", "stabilizers",
+     ["affine", "chareval", "conventions", "identities", "intlinalg", "levelshift", "stabilizers",
       "verify", "verlinde"]),
+    (["roots", "--series", "F", "--rank", "4", "--level", "2"], []),
+    (["grid", "--series", "G", "--rank", "2", "--level", "2"], ["chareval", "conventions"]),
+    (["grid", "--series", "B", "--rank", "2", "--grid", "full"], ["chareval", "conventions", "intlinalg"]),
+    (["fusion", "--series", "D", "--rank", "5", "--level", "1"], ["chareval", "conventions", "verlinde"]),
+    (["fusion", "--series", "A", "--rank", "2", "--level", "2", "--pair", "1,0", "0,1"],
+     ["chareval", "conventions", "verlinde"]),
 ])
 def test_each_subcommand_loads_only_the_layers_it_runs(argv, layers, tmp_path):
-    """Start-up cost: every job compiles what it imports, so a subcommand imports its own layers."""
+    """Start-up cost: every job compiles what it imports, so a subcommand imports its own layers.
+
+    The root datum, the torus points and the shifted grid are integers: only
+    char's rational --point, faces, verify and the full grid load fractions.
+    """
     src = str(Path(cli.__file__).resolve().parents[1])
     out = ["--out", str(tmp_path / "out.json")]
     run_it = "" if argv is None else f"assert cli.main({argv + out!r}) == 0; "
     probe = (f"import sys; sys.path.insert(0, {src!r}); from alcove import cli; {run_it}"
-             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'alcove'))")
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'alcove')); "
+             f"print(sorted(set({FRACTIONS!r}) & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
     loaded = sorted(CLI_CORE + [f"alcove.{name}" for name in layers])
-    assert (done.returncode, done.stdout, done.stderr) == (0, f"{loaded}\n", "")
+    rational = argv is not None and (argv[0] in ("char", "faces", "verify") or "full" in argv)
+    expected = f"{loaded}\n{FRACTIONS if rational else []}\n"
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -298,3 +298,59 @@ def test_weight_coordinate_roundtrip():
     assert hash(verify.Settings(seed=5)) == hash(verify.Settings(1, None, None, 5, 100))
     # the hash of the field tuple: it fixes the iteration order of sets of weights
     assert hash(lam) == hash((lam.coords,))
+
+
+DATUM_SYSTEMS = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
+                 + [f"C{r}" for r in range(2, 9)] + [f"D{r}" for r in range(4, 10)]
+                 + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", DATUM_SYSTEMS)
+def test_integer_datum_equals_the_fraction_references(name):
+    """The datum built in integers equals the one read off the Fraction references."""
+    rs = from_name(name)
+    d = rs.symmetrizers  # the reference: d_i c_ij symmetric and (theta|theta) = 2
+    b = [[d[i] * c for c in row] for i, row in enumerate(rs.cartan)]
+    assert b == [list(col) for col in zip(*b)]
+    assert sum(x * y * b[i][j] for i, x in enumerate(rs.marks) for j, y in enumerate(rs.marks)) == 2
+    assert rs.to_json_dict()["symmetrizers"] == [str(x) for x in d]
+    flat = [c for row in rs.gram_weights for c in row]
+    den, g = rs.nu_inverse
+    assert (den, [c for row in g for c in row]) == intlinalg.clear_denominators(flat)
+    assert rs.gram_of_M() == rs.gram_coroots
+    assert rs.comarks == tuple(a * x for a, x in zip(rs.marks, d))
+    assert all(type(c) is int for c in rs.comarks + (den,) + sum(g, ()) + sum(rs._gram_of_M, ()))
+    divisors = prod(rootdata.smith_of_M(rs)[1])
+    for k in range(5):
+        assert rootdata.lattice_index(rs, k) == (k + rs.dual_coxeter) ** rs.rank * divisors
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=5), st.integers(1, 60),
+       st.integers(1, 12))
+def test_torus_point_normal_form(y, m, factor):
+    """y / m over a common factor is the point of the Fraction weight: equal, same hash, reduced."""
+    weight = rootdata.Weight(tuple(Fraction(c, m) for c in y))
+    point = rootdata.TorusPoint.of([factor * c for c in y], factor * m)
+    assert point == rootdata.TorusPoint(weight) and hash(point) == hash(rootdata.TorusPoint(weight))
+    assert point.m > 0 and all(type(c) is int for c in point.y + (point.m,))
+    assert intlinalg.content(point.y + (point.m,)) == 1
+    assert point.mu_star == weight and rootdata.TorusPoint(point.mu_star) == point
+    assert point.is_zero == (not any(y)) == weight.is_zero
+    if point.m == 1:
+        assert all(type(c) is int for c in point.mu_star.coords)
+
+
+def test_torus_point_examples():
+    import copy
+    import pickle
+    p = rootdata.TorusPoint.of((2, -4, 0), 6)
+    assert (p.y, p.m) == ((1, -2, 0), 3)
+    assert p.mu_star.coords == (Fraction(1, 3), Fraction(-2, 3), 0)
+    assert p == rootdata.TorusPoint(rootdata.Weight((Fraction(2, 6), Fraction(-4, 6), 0)))
+    zero = rootdata.TorusPoint.of((0, 0), 7)
+    assert zero.is_zero and (zero.y, zero.m) == ((0, 0), 1)
+    assert zero == rootdata.TorusPoint(from_name("A2").zero_weight())
+    assert pickle.loads(pickle.dumps(p)) == p and copy.deepcopy(p) == p
+    assert [rootdata.rational_text(n, d) for n, d in [(2, 4), (-3, 6), (0, 5), (6, 3), (-7, 1)]] == \
+        ["1/2", "-1/2", "0", "2", "-7"]

@@ -590,3 +590,32 @@ def test_orbit_lattice_of_theta_covee_is_the_coroot_lattice(name):
     assert rs.gram_of_M() == rs.gram_coroots  # the basis of M is the simple coroots
     for j in range(rs.rank):
         assert rs.coroot_to_weight_space(rs.lattice_Mstar_basis[j]) == rs.fundamental_weight(j)
+
+
+def test_integrity_checks_survive_python_O():
+    """longest_element and weyl_dimension raise their AssertionErrors under python -O too."""
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(rootdata.__file__).resolve().parents[1])
+    probe = f"""
+import sys
+sys.path.insert(0, {src!r})
+from alcove import affine, chareval, rootdata
+rs = rootdata.RootSystem("A", 2)  # a fresh datum, not the cached one
+caught = []
+d, (row, *rest) = rs.nu_inverse
+rs.nu_inverse = (d, ((row[0] + 1,) + row[1:], *rest))  # a wrong nu^-1: the quotient is not integral
+try:
+    chareval.weyl_dimension(rs, rs.fundamental_weight(0))
+except AssertionError as exc:
+    caught.append(str(exc))
+affine.fold = lambda rs, a, n=None: ((0,), tuple(a))  # a word for s_0, not the longest element
+try:
+    affine.longest_element(rs)
+except AssertionError as exc:
+    caught.append(str(exc))
+print(sys.flags.optimize, len(caught))
+"""
+    done = subprocess.run([sys.executable, "-O", "-S", "-c", probe], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1 2\n", "")
