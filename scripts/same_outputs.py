@@ -108,6 +108,12 @@ DEFAULT_JOBS = (
     "fusion --series E --rank 6 --level 1",
     "roots --series F --rank 4",
     "char --series B --rank 3 --weight 0,0,1 --point 1/4,1/6,1/10",
+    # the flag table's usage text, and the check handlers' refusals: verify's
+    # sample count, faces' missing CSV form and char's point of the wrong rank
+    "--help",
+    "verify --samples 0",
+    "faces --series A --rank 2 --format csv",
+    "char --series A --rank 2 --weight 1,1 --point 1/3",
 )
 
 

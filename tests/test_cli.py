@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tokenize
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcove import chareval, cli, conventions, identities, levelshift, rootdata, verify, \
-    verlinde, weyl
+from alcove import artifacts, chareval, cli, conventions, identities, levelshift, rootdata, \
+    verify, verlinde, weyl
 from alcove.rootdata import TorusPoint, from_name
 
 
@@ -372,11 +373,12 @@ def test_cli_import_skips_the_json_package():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
-CLI_CORE = ["alcove", "alcove.cli", "alcove.rootdata", "alcove.weyl"]
+CLI_CORE = ["alcove", "alcove.artifacts", "alcove.cli", "alcove.rootdata", "alcove.weights",
+            "alcove.weyl"]
 FRACTIONS = ["decimal", "fractions", "numbers"]  # fractions imports the other two
-
-
-@pytest.mark.parametrize("argv,layers", [
+CHECKS = ("faces", "char", "verify")  # the subcommands whose handlers live in alcove.checks
+# (command line, layers its handler imports); None only imports alcove.cli
+JOBS = [
     (None, []),
     (["roots", "--series", "A", "--rank", "1"], []),
     (["faces", "--series", "A", "--rank", "2"], ["affine", "intlinalg", "stabilizers"]),
@@ -392,24 +394,93 @@ FRACTIONS = ["decimal", "fractions", "numbers"]  # fractions imports the other t
     (["fusion", "--series", "D", "--rank", "5", "--level", "1"], ["chareval", "conventions", "verlinde"]),
     (["fusion", "--series", "A", "--rank", "2", "--level", "2", "--pair", "1,0", "0,1"],
      ["chareval", "conventions", "verlinde"]),
-])
+]
+
+
+def _loaded(argv, tmp_path, report: str) -> str:
+    """What report prints in a fresh process after cli.main(argv) (or only `import alcove.cli`)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = ["--out", str(tmp_path / "out.json")]
+    run_it = "" if argv is None else f"assert cli.main({argv + out!r}) == 0; "
+    probe = f"import sys; sys.path.insert(0, {src!r}); from alcove import cli; {run_it}{report}"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout
+
+
+@pytest.mark.parametrize("argv,layers", JOBS)
 def test_each_subcommand_loads_only_the_layers_it_runs(argv, layers, tmp_path):
     """Start-up cost: every job compiles what it imports, so a subcommand imports its own layers.
 
     The root datum, the torus points and the shifted grid are integers: only
     char's rational --point, faces, verify and the full grid load fractions.
+    The check handlers are a module of their own, which only faces, char and
+    verify load.
     """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    out = ["--out", str(tmp_path / "out.json")]
-    run_it = "" if argv is None else f"assert cli.main({argv + out!r}) == 0; "
-    probe = (f"import sys; sys.path.insert(0, {src!r}); from alcove import cli; {run_it}"
-             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'alcove')); "
-             f"print(sorted(set({FRACTIONS!r}) & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
-    loaded = sorted(CLI_CORE + [f"alcove.{name}" for name in layers])
-    rational = argv is not None and (argv[0] in ("char", "faces", "verify") or "full" in argv)
+    checks = ["checks"] if argv is not None and argv[0] in CHECKS else []
+    loaded = sorted(CLI_CORE + [f"alcove.{name}" for name in layers + checks])
+    rational = argv is not None and (argv[0] in CHECKS or "full" in argv)
     expected = f"{loaded}\n{FRACTIONS if rational else []}\n"
-    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+    assert _loaded(argv, tmp_path,
+                   "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'alcove')); "
+                   f"print(sorted(set({FRACTIONS!r}) & set(sys.modules)))") == expected
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in JOBS if argv is not None])
+def test_a_module_run_never_imports_alcove_cli_again(argv, tmp_path):
+    """Under `python -m alcove.cli` the CLI is __main__: no layer may compile cli.py again."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (f"import runpy, sys; sys.path.insert(0, {src!r}); "
+             f"sys.argv = ['alcove', *{argv + ['--out', str(tmp_path / 'out.json')]!r}]\n"
+             "try:\n    runpy.run_module('alcove.cli', run_name='__main__')\n"
+             "except SystemExit as exc:\n    print(exc.code)\n"
+             "print('alcove.cli' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\nFalse\n", "")
+
+
+COMPILE_CAP = 2600  # tokens; CPython's parser holds about 0.43 KB per token while it compiles
+
+
+def _tokens(path: str) -> int:
+    """The tokens a module compiles: tokenize's, less comments, line breaks and indentation."""
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
+    with open(path, encoding="utf-8") as fh:
+        return sum(1 for token in tokenize.generate_tokens(fh.readline) if token.type not in skip)
+
+
+def test_data_dumps_compile_no_module_above_the_cap(tmp_path):
+    """Start-up peak: from a clean tree a job compiles every module it imports, one at a time.
+
+    The largest compile sets the job's peak, so no module that roots, grid or
+    fusion loads may exceed COMPILE_CAP tokens.
+    """
+    report = ("print(*sorted({m.__file__ for name, m in sys.modules.items() "
+              "if name.partition('.')[0] == 'alcove'}), sep='\\n')")
+    files = {path for argv, _ in JOBS if argv is not None and argv[0] in ("roots", "grid", "fusion")
+             for path in _loaded(argv, tmp_path, report).split()}
+    assert {Path(path).stem for path in files} >= {"cli", "rootdata", "artifacts", "weights"}
+    counts = {Path(path).stem: _tokens(path) for path in files}
+    assert {name: n for name, n in counts.items() if n > COMPILE_CAP} == {}
+
+
+@pytest.mark.parametrize("command", ["roots", "faces", "grid", "char", "fusion", "verify"])
+def test_unwritable_out_is_refused_before_the_handler_runs(capsys, monkeypatch, tmp_path, command):
+    """An --out in a missing directory, or naming one, is refused before any work, creating none."""
+    def entered(*args):
+        raise AssertionError("the handler ran before --out was refused")
+
+    monkeypatch.setattr(rootdata, "build_root_system", entered)  # every handler's first layer call
+    args = {"char": ["--weight", "1", "--point", "1/3"]}.get(command, [])
+    (tmp_path / "file").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    for out, reason in [(tmp_path / "missing" / "x.json", "No such file or directory"),
+                        (tmp_path, "Is a directory"),
+                        (tmp_path / "file" / "x.json", "Not a directory")]:
+        code, stdout, err = run(capsys, command, "--series", "A", "--rank", "1", *args,
+                                "--out", str(out))
+        assert (code, stdout, err) == (2, "", f"error: cannot write {out}: {reason}\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -512,25 +583,25 @@ json_values = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(json_values)
 def test_writer_is_json_dumps_with_indent(value):
-    assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert artifacts._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_writer_edge_cases():
     for value in [[], {}, [[]], {"a": {}}, [float("nan"), float("inf"), -float("inf"), -0.0],
                   [True, 1, False, 0], ["\u00e9", "\ud83d", "\n\"\\"], (1, (2, "x")), 10 ** 30]:
-        assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert artifacts._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
     for value in [{1: "a"}, {"a": 1, 2: "b"}, {"a": {None: 1}}, {1, 2}, [object()], b"x",
                   {"a": 1j}]:
         with pytest.raises(TypeError):
-            cli._to_json(value)
+            artifacts._to_json(value)
         for payload in [{"k": value}, {"k": iter([value])}]:  # the streamed writer too
             with pytest.raises(TypeError):
-                "".join(cli._json_pieces(payload))
+                "".join(artifacts._json_pieces(payload))
     with pytest.raises(TypeError):
-        "".join(cli._json_pieces({"a": 1, 2: "b"}))
+        "".join(artifacts._json_pieces({"a": 1, 2: "b"}))
     for payload in [{}, {"a": []}, {"a": [], "b": [1, "x"], "c": {}, "d": [[]]}]:
         streamed = _as_iterators(payload, lambda key: True)
-        assert "".join(cli._json_pieces(streamed)) == cli._to_json(payload) + "\n"
+        assert "".join(artifacts._json_pieces(streamed)) == artifacts._to_json(payload) + "\n"
 
 
 def _as_iterators(payload: dict, pick) -> dict:
@@ -542,15 +613,15 @@ def _as_iterators(payload: dict, pick) -> dict:
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(st.text(), json_values, max_size=6), st.data())
 def test_streamed_pieces_join_to_the_whole_text(payload, data):
-    whole = cli._to_json(payload) + "\n"
-    assert "".join(cli._json_pieces(payload)) == whole
-    assert "".join(cli._json_pieces(_as_iterators(payload, lambda key: True))) == whole
+    whole = artifacts._to_json(payload) + "\n"
+    assert "".join(artifacts._json_pieces(payload)) == whole
+    assert "".join(artifacts._json_pieces(_as_iterators(payload, lambda key: True))) == whole
     mixed = _as_iterators(payload, lambda key: data.draw(st.booleans()))
-    assert "".join(cli._json_pieces(mixed)) == whole
+    assert "".join(artifacts._json_pieces(mixed)) == whole
 
 
-# Jobs whose streamed records are written from a %-template (cli._element_writer,
-# cli._triple_writer): A1's identity has the word [], and A1 k=3 and C3 k=1 are
+# Jobs whose streamed records are written from a %-template (artifacts._element_writer,
+# artifacts._triple_writer): A1's identity has the word [], and A1 k=3 and C3 k=1 are
 # fusion tables of rank 1 and 3.
 TEMPLATED = {
     "roots-A1-elements": ["roots", "--series", "A", "--rank", "1", "--elements"],
@@ -575,7 +646,7 @@ TEMPLATED = {
         *TEMPLATED])
 def test_every_payload_is_written_as_json_dumps_writes_it(capsys, monkeypatch, args):
     payloads = []
-    emit = cli._emit
+    emit = artifacts._emit
 
     def recording(fmt, out, payload, *rest):
         streamed = {key for key, value in payload.items() if isinstance(value, Iterator)}
@@ -584,7 +655,7 @@ def test_every_payload_is_written_as_json_dumps_writes_it(capsys, monkeypatch, a
         payloads.append(payload)
         emit(fmt, out, _as_iterators(payload, streamed.__contains__), *rest)
 
-    monkeypatch.setattr(cli, "_emit", recording)
+    monkeypatch.setattr(artifacts, "_emit", recording)
     code, out, _ = run(capsys, *args)
     assert code == 0 and len(payloads) == 1
     assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
@@ -596,14 +667,14 @@ def test_every_payload_is_written_as_json_dumps_writes_it(capsys, monkeypatch, a
 def test_streamed_records_skip_the_recursive_writer(capsys, monkeypatch, args):
     """_to_json writes a record shape once, for its template, and no record after that."""
     records_written = []
-    to_json = cli._to_json
+    to_json = artifacts._to_json
 
     def counting(o, nl="\n"):
-        if isinstance(o, dict) and nl == cli._ITEM:  # a record, or the shape of one
+        if isinstance(o, dict) and nl == artifacts._ITEM:  # a record, or the shape of one
             records_written.append(o)
         return to_json(o, nl)
 
-    monkeypatch.setattr(cli, "_to_json", counting)
+    monkeypatch.setattr(artifacts, "_to_json", counting)
     code, out, _ = run(capsys, *args)
     records = json.loads(out)["weyl_elements" if args[0] == "roots" else "triples"]
     assert code == 0 and len(records) > 1 and len(records_written) == 1

@@ -42,10 +42,10 @@ def test_same_outputs_accepts_the_tree_against_itself():
 def test_same_outputs_reports_a_changed_label_format(tmp_path):
     changed = tmp_path / "src"
     shutil.copytree(ROOT / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
-    cli_py = changed / "alcove" / "cli.py"
-    text = cli_py.read_text()
+    writer = changed / "alcove" / "artifacts.py"
+    text = writer.read_text()
     assert 'f"{int(c)}w{i}"' in text
-    cli_py.write_text(text.replace('f"{int(c)}w{i}"', 'f"{int(c)}W{i}"'))
+    writer.write_text(text.replace('f"{int(c)}w{i}"', 'f"{int(c)}W{i}"'))
     proc = same_outputs(ROOT / "src", changed)
     assert proc.returncode == 1
     assert "DIFF" in proc.stdout and "stdout differs at byte" in proc.stdout
