@@ -61,6 +61,10 @@ DEFAULT_JOBS = (
     "faces --series E --rank 6",
     "faces --series C --rank 5",
     "faces --series D --rank 5",
+    # the largest alcoves under the face cap: E7, and 511 faces at rank 8 (E8, B8)
+    "faces --series E --rank 7",
+    "faces --series E --rank 8",
+    "faces --series B --rank 8",
     # 2^10 - 1 faces: refused with exit 2 before any face is built
     "faces --series A --rank 9",
     "verify --series A --rank 3 --level 2",
@@ -88,6 +92,10 @@ DEFAULT_JOBS = (
     # the one full grid of rank >= 3 under the table cap: 5,184 points off the
     # cached Smith form of D4 (divisors 1, 1, 2, 2) scaled by k+h^v = 6
     "grid --series D --rank 4 --level 0 --grid full",
+    # the same grid at level 1 (9,604 points) is refused by the table cap (exit 2); its
+    # non-cyclic Smith form at level 1 runs in the regularity and level-shift suites
+    # of `verify --series D --rank 4 --level 1` above
+    "grid --series D --rank 4 --level 1 --grid full",
     # non-simply-laced root coordinates and symmetrizers, and E7's datum, whose
     # weyl_order is null above the group cap
     "roots --series B --rank 5 --elements",

@@ -14,7 +14,6 @@ alcove.weyl.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
 from operator import mul
@@ -81,7 +80,7 @@ def act(w: WeylElement, a: Weight) -> Weight:
 @lru_cache(maxsize=None)
 def _coroot_action(action: IntMat) -> IntMat:
     """(action^T)^-1, integral: W keeps <lam, v> = lam.coords . v, so action^T (w v) = v."""
-    inv = intlinalg.mat_inverse(intlinalg.frac_matrix(zip(*action)))
+    inv = intlinalg.mat_inverse(list(zip(*action)))
     return tuple(tuple(int(x) for x in row) for row in inv)
 
 
@@ -126,7 +125,8 @@ def lift(rs: RootSystem, w: WeylElement, x: TorusPoint, y: TorusPoint, k: int) -
     return AffineWeylElement(w, tuple(v // (d * m * k) for v in t))
 
 
-def alcove_certificate(rs: RootSystem, k: int, x: TorusPoint) -> tuple[Fraction, ...]:
+def alcove_certificate(rs: RootSystem, k: int, x: TorusPoint) -> tuple:
+    from fractions import Fraction  # here, not at the top: `faces` loads this module without fractions
     coords = x.mu_star.coords  # <alpha_i^v, x>; (theta|x) = sum_i comark_i x_i
     return tuple(coords) + (Fraction(k) - sum(a * c for a, c in zip(rs.comarks, coords)),)
 

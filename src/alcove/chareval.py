@@ -200,16 +200,15 @@ def _grid(rs: RootSystem, k: int, mode: str) -> list:
     (k+h^v)M has the integer matrix (k+h^v) * gram_of_M() in the basis
     nu^-1(Lambda_j) of M*; its Smith form is k+h^v times that of gram_of_M().  With
     (u^-1, d) = rootdata.smith_of_M(rs), the representatives have M* coordinates
-    y = u^-1 c, 0 <= c_i < (k+h^v) d_i, labeled by nu^-1(y) = G y / D in coroot coordinates.
+    y = u^-1 c, 0 <= c_i < (k+h^v) d_i, labeled by the integral weight y.
     """
     n = k + rs.dual_coxeter
     if mode == GRID_SHIFTED:
         labeled = [(lam, [c + 1 for c in lam.coords]) for lam in weights_at_level(rs, k)]
     elif mode == GRID_FULL:
-        from fractions import Fraction  # the labels: rational coroot coordinates
-        (d, gram), (u_inv, divisors) = rs.nu_inverse, smith_of_M(rs)
+        u_inv, divisors = smith_of_M(rs)
         ys = [[sum(map(mul, row, c)) for row in u_inv] for c in product(*(range(n * e) for e in divisors))]
-        labeled = [(tuple(Fraction(sum(map(mul, row, y)), d) for row in gram), y) for y in ys]
+        labeled = [(Weight(tuple(y)), y) for y in ys]
     else:
         raise ValueError(f"unknown grid mode {mode!r}")
     return [(label, y, TorusPoint.of(y, n)) for label, y in labeled]
@@ -225,6 +224,6 @@ def shifted_grid(rs: RootSystem, k: int) -> list[tuple[Weight, TorusPoint]]:
     return special_grid(rs, k, GRID_SHIFTED)
 
 
-def full_grid(rs: RootSystem, k: int) -> list[tuple[tuple, TorusPoint]]:
-    """Coset representatives of M*/(k+h^v)M, labeled by their coroot coordinates."""
+def full_grid(rs: RootSystem, k: int) -> list[tuple[Weight, TorusPoint]]:
+    """Coset representatives y / (k+h^v) of M*/(k+h^v)M, labeled by the integral weight y."""
     return special_grid(rs, k, GRID_FULL)

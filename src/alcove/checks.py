@@ -19,30 +19,35 @@ from .weights import ConfigurationError, TorusPoint
 def cmd_faces(args: SimpleNamespace) -> int:
     from . import stabilizers
     rs = rootdata.build_root_system(args.series, args.rank)
-    rows = []
-    for walls, fd in stabilizers.enumerate_faces(rs):
-        rows.append({
-            "walls": sorted(str(w) for w in walls),
-            "on_affine_wall": fd.on_affine_wall,
-            "vanishing_simple_roots": list(fd.delta0),
-            "simple_system": list(fd.labels),
-            "rho_mu": [str(c) for c in fd.rho_mu.coords],
-            "n": fd.n_value,
-            "epsilon_covee": [str(c) for c in fd.epsilon_covee],
-            "isotropy_order": fd.isotropy_order,
-        })
+    rows = [{
+        "walls": sorted(str(w) for w in walls),
+        "on_affine_wall": fd.on_affine_wall,
+        "vanishing_simple_roots": list(fd.delta0),
+        "simple_system": list(fd.labels),
+        "rho_mu": _point_text(fd.rho_mu),
+        "n": fd.n_value,
+        "epsilon_covee": list(map(str, fd.epsilon_covee)),
+        "isotropy_order": fd.isotropy_order,
+    } for walls, fd in stabilizers.enumerate_faces(rs)]
     artifacts._emit(args.fmt, args.out, {"schema": "alcove/faces/v1",
                                          "system": f"{args.series}{args.rank}", "faces": rows})
     return EXIT_OK
 
 
-def cmd_char(args: SimpleNamespace) -> int:
+def _rational(text: str):
+    """An optionally signed integer n or n/d, d in digits, read by int: Fraction would expand 1e-9999999."""
     from fractions import Fraction
+    num, slash, den = text.partition("/")
+    if slash and not den.isdecimal():
+        raise ValueError(text)
+    return Fraction(int(num), int(den or 1))
 
+
+def cmd_char(args: SimpleNamespace) -> int:
     from . import chareval
     rs = rootdata.build_root_system(args.series, args.rank)
     lam = _parse_coords(rs, args.weight, "weight", "integer", int)
-    x = TorusPoint(_parse_coords(rs, args.point, "point", "rational", Fraction))
+    x = TorusPoint(_parse_coords(rs, args.point, "point", "rational", _rational))
     value = chareval.character(rs, lam, x)
     artifacts._emit(args.fmt, args.out, {"schema": "alcove/char/v1", "weight": _weight_label(lam),
                                          "point": _point_text(x),

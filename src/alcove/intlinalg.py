@@ -1,29 +1,22 @@
-"""Exact linear algebra over the rationals and the integers.
+"""Exact linear algebra over the integers, and the Fraction inverse the tests read.
 
-Everything here works on plain tuples/lists of Fraction or int; matrices are
-row-major lists of rows.  Sizes never exceed the rank of a root system, so
-clarity wins over asymptotics.
+Matrices are row-major lists of rows; sizes never exceed the rank of a root
+system, so clarity wins over asymptotics.  Only mat_inverse, a reference, imports fractions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-
-Vec = tuple[Fraction, ...]
-Mat = list[list[Fraction]]
+from operator import mul
 
 
-def frac_matrix(rows) -> Mat:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def mat_vec(m: Mat, v) -> Vec:
+def mat_vec(m, v) -> tuple:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
-def mat_inverse(m: Mat) -> Mat:
-    """Invert a square rational matrix by Gauss-Jordan elimination."""
+def mat_inverse(m) -> list[list]:
+    """Invert a square rational matrix, its entries read as Fractions, by Gauss-Jordan elimination."""
+    from fractions import Fraction
     n = len(m)
     a = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
          for i, row in enumerate(m)]
@@ -112,6 +105,14 @@ def smith_normal_form(mat: list[list[int]]) -> tuple[list[list[int]], list[list[
             u[t] = [-x for x in u[t]]
         t += 1
     return u, a, v
+
+
+def smith_left_inverse(mat):
+    """(u^-1, d) of the Smith form u mat v = diag(d) of a nonsingular integer mat, as tuples."""
+    _, diag, v = smith_normal_form(mat)
+    d = tuple(diag[j][j] for j in range(len(diag)))
+    # mat v = u^-1 diag(d), u unimodular: column j of mat v divides exactly by d_j
+    return tuple(tuple(sum(map(mul, row, col)) // dj for col, dj in zip(zip(*v), d)) for row in mat), d
 
 
 def elementary_divisors(mat: list[list[int]]) -> list[int]:

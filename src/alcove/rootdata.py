@@ -13,8 +13,9 @@ and nu in integers, nu(v) = gram_of_M() v and nu^-1(lam) = G lam / D with
 Comp. 22 (1968)) reduced by its gcd.  The Fraction symmetrizers and matrices
 gram_weights, gram_coroots, inv_cartan and lattice_Mstar_basis, and
 root_coords, weight_from_root_coords, coroot_of and coroot_to_weight_space,
-are references, computed only when read.  They and the Smith form of the full
-grid (smith_of_M) are the only users of fractions and alcove.intlinalg here.
+are references, computed only when read, and the only users of fractions.
+The Smith form of the full grid (smith_of_M) is read in integers off
+alcove.intlinalg, which only it and those references load here.
 """
 
 from __future__ import annotations
@@ -102,11 +103,11 @@ def _symmetrizers(cartan: list[list[int]]) -> list[int]:
 
 
 def _adjugate(m: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """(det m, adj m) of a positive definite integer matrix, by fraction-free Gauss-Jordan.
+    """(det m, adj m) of a positive definite or finite-type Cartan integer matrix, by fraction-free Gauss-Jordan.
 
     Bareiss's exact division by the previous pivot keeps every entry of [m | 1]
     an integer minor; the pivots are leading principal minors, positive here.
-    The last step leaves det m times the identity beside adj m.
+    The last step leaves det m times the identity beside adj m; [] gives (1, []).
     """
     n = len(m)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
@@ -201,7 +202,7 @@ class RootSystem:
     @cached_property
     def inv_cartan(self) -> list[list]:
         from . import intlinalg
-        return intlinalg.mat_inverse(intlinalg.frac_matrix(self.cartan))
+        return intlinalg.mat_inverse(self.cartan)
 
     @cached_property
     def gram_weights(self) -> list[list]:
@@ -332,6 +333,4 @@ def smith_of_M(rs: RootSystem) -> tuple[tuple[tuple[int, ...], ...], tuple[int, 
 
     That of n gram_of_M() is (u, n d, v) for n > 0: every pivot, quotient and divisibility test scales."""
     from . import intlinalg
-    u, diag, _ = intlinalg.smith_normal_form(rs.gram_of_M())
-    return (tuple(tuple(map(int, row)) for row in intlinalg.mat_inverse(intlinalg.frac_matrix(u))),
-            tuple(diag[i][i] for i in range(rs.rank)))
+    return intlinalg.smith_left_inverse(rs.gram_of_M())

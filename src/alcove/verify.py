@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import chareval, conventions, identities, levelshift, rootdata, stabilizers, verlinde
-from .rootdata import RootSystem, TorusPoint
+from .rootdata import RootSystem, TorusPoint, Weight
 
 # Resample budget of a sampled suite: at most this many draws per requested
 # sample, so a pole-heavy sampler ends in a failed report, never a hang.
@@ -113,7 +113,7 @@ def orthogonality_suite(rs: RootSystem, settings: Settings) -> list[IdentityRepo
 
 def rho_shift_suite(rs: RootSystem, settings: Settings) -> list[IdentityReport]:
     failures = checks = 0
-    affine = rs.highest_root.scale(rs.dual_coxeter)
+    affine = Weight(tuple(rs.dual_coxeter * c for c in rs.root_rows[-1]))  # h^v theta
     for _, fd in stabilizers.enumerate_faces(rs):
         for label, fin, _ in stabilizers.stabilizer_generators(rs, fd):
             expected = affine if label == "affine" else rs.zero_weight()
@@ -126,15 +126,16 @@ def lattice_phase_suite(rs: RootSystem, settings: Settings) -> list[IdentityRepo
     """Lattice phases on M*/(k+h^v) for k = 1..3, plus one off-lattice probe that must fail."""
     failures = checks = 0
     probe_failed = False
+    d, gram = rs.nu_inverse  # the rows G_j / D generate M*: they are nu^-1(Lambda_j)
     for _, fd in stabilizers.enumerate_faces(rs):
         for k in (1, 2, 3):
             n = k + rs.dual_coxeter
-            for row in rs.lattice_Mstar_basis:
+            for row in gram:
                 checks += 1
                 failures += not stabilizers.lattice_phase_check(
-                    rs, fd, k, tuple(Fraction(x, n) for x in row))
+                    rs, fd, k, tuple(Fraction(x, d * n) for x in row))
                 probe_failed |= not stabilizers.lattice_phase_check(
-                    rs, fd, 1, tuple(Fraction(x, n + 1) for x in row), require_lattice=False)
+                    rs, fd, 1, tuple(Fraction(x, d * (n + 1)) for x in row), require_lattice=False)
     return [exact_report("lattice_phase", rs, checks, failures, probe_failed,
                          {"exact": True, "off_lattice_probe_failed": probe_failed})]
 

@@ -206,20 +206,21 @@ def test_full_grid_size_is_lattice_index(name, k):
     rs = from_name(name)
     grid = chareval.full_grid(rs, k)
     assert len(grid) == rootdata.lattice_index(rs, k)
-    assert len({tuple(m) for m, _ in grid}) == len(grid)
-    # representatives are genuinely in M*
-    for m, _ in grid:
-        assert rs.in_lattice_Mstar(m)
+    assert len({y for y, _ in grid}) == len(grid)
+    # representatives are genuinely in M*: their coroot coordinates nu^-1(y), by the Fraction reference
+    for y, _ in grid:
+        assert rs.in_lattice_Mstar(intlinalg.mat_vec(rs.gram_weights, y.coords))
 
 
 @pytest.mark.parametrize("name,k", [("A1", 1), ("A1", 2), ("A1", 3), ("A2", 1), ("B2", 2),
                                     ("G2", 1), ("C3", 1)])
 def test_full_grid_is_a_transversal(name, k):
-    # labels lie in distinct cosets of (k+h^v)M, and each point is nu(label)/(k+h^v);
-    # M = Q^v is Z^rank in coroot coordinates, so reducing mod k+h^v names the coset
+    # labels lie in distinct cosets of (k+h^v)M, and each point is nu(m)/(k+h^v) for the
+    # coroot coordinates m = nu^-1(label); M = Q^v is Z^rank in coroot coordinates, so
+    # reducing m mod k+h^v names the coset
     rs = from_name(name)
     n = k + rs.dual_coxeter
-    grid = chareval.full_grid(rs, k)
+    grid = [(intlinalg.mat_vec(rs.gram_weights, y.coords), p) for y, p in chareval.full_grid(rs, k)]
     for m, p in grid:
         assert p == TorusPoint(rs.coroot_to_weight_space(m).scale(Fraction(1, n)))
     assert len({tuple(x % n for x in m) for m, _ in grid}) == len(grid)
@@ -228,13 +229,11 @@ def test_full_grid_is_a_transversal(name, k):
 def reference_full_grid(rs, k):
     """The full grid from the Smith form of (k+h^v) gram_of_M(), computed at this level."""
     n = k + rs.dual_coxeter
-    d, gram = rs.nu_inverse
     u, diag, _ = intlinalg.smith_normal_form([[n * g for g in row] for row in rs.gram_of_M()])
-    u_inv = [[int(x) for x in row] for row in intlinalg.mat_inverse(intlinalg.frac_matrix(u))]
+    u_inv = [[int(x) for x in row] for row in intlinalg.mat_inverse(u)]
     ys = [[sum(a * b for a, b in zip(row, c)) for row in u_inv]
           for c in product(*(range(diag[i][i]) for i in range(rs.rank)))]
-    return [(tuple(Fraction(sum(a * b for a, b in zip(row, y)), d) for row in gram), y,
-             TorusPoint(Weight(tuple(Fraction(c, n) for c in y)))) for y in ys]
+    return [(Weight(tuple(y)), y, TorusPoint(Weight(tuple(Fraction(c, n) for c in y)))) for y in ys]
 
 
 FULL_GRID_CASES = [(name, k) for name in ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",

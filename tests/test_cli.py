@@ -171,6 +171,10 @@ def test_negative_tolerance_rejected(capsys, tolerance):
 
 @pytest.mark.parametrize("args,expected", [
     (["char", "--series", "A", "--rank", "1", "--weight", "1", "--point", "1/0"], ""),
+    (["char", "--series", "A", "--rank", "1", "--weight", "1", "--point", "1e-9999999"],
+     "point '1e-9999999' needs rational coordinates"),
+    (["char", "--series", "A", "--rank", "1", "--weight", "1", "--point", "0.5"],
+     "point '0.5' needs rational coordinates"),
     (["char", "--series", "A", "--rank", "1", "--weight", "x", "--point", "1/3"], ""),
     (["char", "--series", "A", "--rank", "1", "--weight", "-1", "--point", "1/3"], ""),
     (["char", "--series", "A", "--rank", "1", "--weight", "1.5", "--point", "1/3"],
@@ -192,8 +196,8 @@ def test_negative_tolerance_rejected(capsys, tolerance):
     (["fusion", "--series", "A", "--rank", "2", "--level", "2", "--pair", "1,0"],
      "argument --pair: expected 2"),
     (["roots", "--series", "A", "--rank", "1", "--lev", "2"], "unrecognized arguments: --lev"),
-], ids=["point-1/0", "weight-x", "weight-negative", "weight-not-an-int", "pair-not-an-int",
-        "pair-above-level", "grid-E8-cap",
+], ids=["point-1/0", "point-exponent", "point-decimal", "weight-x", "weight-negative",
+        "weight-not-an-int", "pair-not-an-int", "pair-above-level", "grid-E8-cap",
         "roots-level-negative", "grid-level-negative", "out-unwritable", "roots-E7-elements",
         "faces-A10-cap", "verify-fusion-cap", "roots-A300-rank-cap", "unknown-subcommand",
         "missing-rank", "rank-not-an-int", "pair-one-value", "flag-abbreviation"])
@@ -412,18 +416,45 @@ def _loaded(argv, tmp_path, report: str) -> str:
 def test_each_subcommand_loads_only_the_layers_it_runs(argv, layers, tmp_path):
     """Start-up cost: every job compiles what it imports, so a subcommand imports its own layers.
 
-    The root datum, the torus points and the shifted grid are integers: only
-    char's rational --point, faces, verify and the full grid load fractions.
+    The root datum, the torus points, both grids and the face layer are
+    integers: only char's rational --point and verify load fractions.
     The check handlers are a module of their own, which only faces, char and
     verify load.
     """
     checks = ["checks"] if argv is not None and argv[0] in CHECKS else []
     loaded = sorted(CLI_CORE + [f"alcove.{name}" for name in layers + checks])
-    rational = argv is not None and (argv[0] in CHECKS or "full" in argv)
+    rational = argv is not None and argv[0] in ("char", "verify")
     expected = f"{loaded}\n{FRACTIONS if rational else []}\n"
     assert _loaded(argv, tmp_path,
                    "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'alcove')); "
                    f"print(sorted(set({FRACTIONS!r}) & set(sys.modules)))") == expected
+
+
+def test_faces_verify_and_the_full_grid_never_run_the_fraction_inverse(monkeypatch, tmp_path):
+    """The face layer, verify's face suites and the full grid's Smith form run in integers.
+
+    With the Fraction inverse and Weight.scale made to fail and every cache they
+    fed cleared, these jobs still end with their exit codes (the full-grid verify
+    fails its orthogonality suite by design).
+    """
+    from alcove import intlinalg, stabilizers
+    from alcove.weights import Weight
+
+    def fraction_path(*args):
+        raise AssertionError("the job ran the Fraction inverse or Weight.scale")
+
+    monkeypatch.setattr(intlinalg, "mat_inverse", fraction_path)
+    monkeypatch.setattr(Weight, "scale", fraction_path)
+    for cached in (rootdata.build_root_system, rootdata.smith_of_M, conventions._character_table,
+                   stabilizers.stabilizer_subgroup, stabilizers._phase_shifts,
+                   stabilizers.sub_positive_roots):
+        cached.cache_clear()
+    out = ["--out", str(tmp_path / "out.json")]
+    for argv, code in [(["faces", "--series", "E", "--rank", "8"], 0),
+                       (["verify", "--series", "B", "--rank", "2", "--level", "2"], 0),
+                       (["verify", "--level", "1", "--grid", "full"], 1),
+                       (["grid", "--series", "D", "--rank", "4", "--level", "0", "--grid", "full"], 0)]:
+        assert cli.main(argv + out) == code
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _ in JOBS if argv is not None])
