@@ -14,14 +14,13 @@ from __future__ import annotations
 import argparse
 import random
 
-from alcove import affine, chareval, identities, rootdata, weyl
+from alcove import chareval, identities, rootdata, verlinde, weyl
 from alcove.identities import PoleError
 
 
 def orthogonality_deviation(rs, k, grid_mode, weight_mode, sign_mode, norm_mode) -> float:
     lams = rootdata.weights_at_level(rs, k)
-    wl = affine.longest_element(rs)
-    contrag = [lams.index(affine.act(wl, -lam)) for lam in lams]
+    contrag = [lams.index(verlinde.contragredient(rs, lam)) for lam in lams]
     pref = 1.0 / rootdata.lattice_index(rs, k)
     if norm_mode == "orbit":
         pref /= weyl.weyl_order(rs)
@@ -29,7 +28,8 @@ def orthogonality_deviation(rs, k, grid_mode, weight_mode, sign_mode, norm_mode)
         pref *= (-1) ** rs.rank
     rows = []
     weights = []
-    for _, point in chareval.special_grid(rs, k, grid_mode):
+    grid = chareval.shifted_grid if grid_mode == "shifted" else chareval.full_grid
+    for _, point in grid(rs, k):
         d = chareval.weyl_denominator(rs, point)
         weights.append(d * d if weight_mode == "square" else (d * d.conjugate()).real)
         if chareval.is_regular(rs, point):

@@ -14,7 +14,8 @@ over the signed orbit of a = lam + rho.  Every Weyl sum walks weyl.orbit in
 enumerate_weyl order; the localization sum and the identities read h_w = w^T v
 off the orbits of the fundamental weights.  The independent references are the
 Fraction evaluations in tests/test_chareval.py, which every value equals
-bitwise, and reference_enumeration in tests/test_weyl.py.
+bitwise, reference_enumeration in tests/test_weyl.py, and the Fraction
+coordinate helpers in tests/references.py.
 """
 
 from __future__ import annotations
@@ -214,16 +215,11 @@ def _grid(rs: RootSystem, k: int, mode: str) -> list:
     return [(label, y, TorusPoint.of(y, n)) for label, y in labeled]
 
 
-def special_grid(rs: RootSystem, k: int, mode: str = GRID_SHIFTED):
-    """(label, point) pairs of the level-k grid of the given mode."""
-    return [(label, point) for label, _, point in _grid(rs, k, mode)]
-
-
 def shifted_grid(rs: RootSystem, k: int) -> list[tuple[Weight, TorusPoint]]:
     """Points nu^-1((lam+rho)/(k+h^v)) for lam of level <= k, labeled by lam."""
-    return special_grid(rs, k, GRID_SHIFTED)
+    return [(label, point) for label, _, point in _grid(rs, k, GRID_SHIFTED)]
 
 
 def full_grid(rs: RootSystem, k: int) -> list[tuple[Weight, TorusPoint]]:
     """Coset representatives y / (k+h^v) of M*/(k+h^v)M, labeled by the integral weight y."""
-    return special_grid(rs, k, GRID_FULL)
+    return [(label, point) for label, _, point in _grid(rs, k, GRID_FULL)]

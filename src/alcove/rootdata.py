@@ -12,8 +12,10 @@ and nu in integers, nu(v) = gram_of_M() v and nu^-1(lam) = G lam / D with
 (D, G) = nu_inverse, the fraction-free adjugate of gram_of_M() (Bareiss, Math.
 Comp. 22 (1968)) reduced by its gcd.  The Fraction symmetrizers and matrices
 gram_weights, gram_coroots, inv_cartan and lattice_Mstar_basis, and
-root_coords, weight_from_root_coords, coroot_of and coroot_to_weight_space,
-are references, computed only when read, and the only users of fractions.
+root_coords and coroot_of, are references, computed only when read, and the
+only users of fractions; tests/oracles.py and tests/test_acceptance.py read
+them.  weight_from_root_coords and coroot_to_weight_space are test
+references in tests/references.py.
 The Smith form of the full grid (smith_of_M) is read in integers off
 alcove.intlinalg, which only it and those references load here.
 """
@@ -231,10 +233,6 @@ class RootSystem:
     def weight_from_coords(self, coords) -> Weight:
         return Weight(tuple(coords))
 
-    def weight_from_root_coords(self, rc) -> Weight:
-        rc = tuple(rc)
-        return Weight(tuple(sum(map(mul, row, rc)) for row in self.cartan))
-
     def root_coords(self, lam: Weight) -> tuple:
         """lam expanded in simple roots: inv_cartan . coords."""
         from . import intlinalg
@@ -248,10 +246,6 @@ class RootSystem:
 
     def fundamental_weight(self, i: int) -> Weight:
         return self.weight_from_coords([int(i == j) for j in range(self.rank)])
-
-    def coroot_to_weight_space(self, coroot_coords) -> Weight:
-        """Image under the bilinear-form identification: alpha_j^v -> alpha_j / d_j."""
-        return self.weight_from_root_coords(v / d for v, d in zip(coroot_coords, self.symmetrizers))
 
     def coroot_of(self, root: Weight) -> tuple:
         """Coordinates of root^v = 2 root/(root|root) in the simple-coroot basis."""

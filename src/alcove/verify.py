@@ -135,7 +135,7 @@ def lattice_phase_suite(rs: RootSystem, settings: Settings) -> list[IdentityRepo
                 failures += not stabilizers.lattice_phase_check(
                     rs, fd, k, tuple(Fraction(x, d * n) for x in row))
                 probe_failed |= not stabilizers.lattice_phase_check(
-                    rs, fd, 1, tuple(Fraction(x, d * (n + 1)) for x in row), require_lattice=False)
+                    rs, fd, k, tuple(Fraction(x, d * (n + 1)) for x in row), require_lattice=False)
     return [exact_report("lattice_phase", rs, checks, failures, probe_failed,
                          {"exact": True, "off_lattice_probe_failed": probe_failed})]
 

@@ -12,7 +12,7 @@ matrices (column j of w is w(Lambda_j)), rebuilding only the rows on that
 support, and yields the elements one at a time while holding only the last
 two word lengths; enumerate_weyl is its cached tuple.  Every descent is fold:
 integer coordinates reflected in the lowest violated wall, O(rank) per step.
-The affine group (reflections, lifts, alcove folding) is alcove.affine, which
+The affine group (reflections, lifts, factorization) is alcove.affine, which
 only the fixed-point checks import.
 """
 
@@ -40,9 +40,9 @@ class WeylElement(namedtuple("WeylElement", "action sign word")):
 
     action is the integer matrix (IntMat) on fundamental-weight coordinates;
     sign is the determinant; word is a word in simple reflections that
-    multiplies out to w.  It is reduced for the elements that enumerate_weyl
-    and alcove.affine's reflections and longest_element return, but a
-    product concatenates words, so s_0 * s_0 has word (0, 0).
+    multiplies out to w.  It is reduced for enumerate_weyl's elements,
+    alcove.affine's reflections and tests/references.py's longest_element;
+    a product concatenates words: s_0 * s_0 has word (0, 0).
     """
 
     __slots__ = ()

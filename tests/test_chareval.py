@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import references
 from alcove import affine, chareval, conventions, identities, intlinalg, rootdata, weyl
 from alcove.chareval import SingularPointError, character, integer_rows, is_regular, \
     localization_sum, phase, residues, row_residues, weyl_denominator
@@ -74,7 +75,7 @@ def test_non_integral_weight_has_no_exponential():
 def test_weyl_denominator_values():
     a1 = from_name("A1")
     assert weyl_denominator(a1, point(a1, [0])) == 0
-    x = TorusPoint(a1.weight_from_root_coords([Fraction(1, 4)]))  # (alpha|x) = 1/2
+    x = TorusPoint(references.weight_from_root_coords(a1, [Fraction(1, 4)]))  # (alpha|x) = 1/2
     assert abs(weyl_denominator(a1, x) - 2) < 1e-12
     a2 = from_name("A2")
     assert abs(weyl_denominator(a2, point(a2, [Fraction(1, 5), Fraction(1, 7)]))) > 0
@@ -83,7 +84,7 @@ def test_weyl_denominator_values():
 def test_is_regular():
     a1 = from_name("A1")
     assert not is_regular(a1, point(a1, [0]))
-    assert is_regular(a1, TorusPoint(a1.weight_from_root_coords([Fraction(1, 6)])))
+    assert is_regular(a1, TorusPoint(references.weight_from_root_coords(a1, [Fraction(1, 6)])))
     a2 = from_name("A2")
     shifted = TorusPoint(a2.rho.scale(Fraction(1, 4)))  # k=1 grid point of lam=0
     assert is_regular(a2, shifted)
@@ -116,7 +117,7 @@ def test_weyl_dimension_is_the_fraction_product(name):
 
 def test_character_rank1_closed_form():
     a1 = from_name("A1")
-    x = TorusPoint(a1.weight_from_root_coords([Fraction(1, 6)]))  # (alpha|x) = 1/3
+    x = TorusPoint(references.weight_from_root_coords(a1, [Fraction(1, 6)]))  # (alpha|x) = 1/3
     got = character(a1, a1.fundamental_weight(0), x)
     assert abs(got - 1) < 1e-12  # sin(2s)/sin(s) at s = pi/3
     for m in range(5):
@@ -222,7 +223,7 @@ def test_full_grid_is_a_transversal(name, k):
     n = k + rs.dual_coxeter
     grid = [(intlinalg.mat_vec(rs.gram_weights, y.coords), p) for y, p in chareval.full_grid(rs, k)]
     for m, p in grid:
-        assert p == TorusPoint(rs.coroot_to_weight_space(m).scale(Fraction(1, n)))
+        assert p == TorusPoint(references.coroot_to_weight_space(rs, m).scale(Fraction(1, n)))
     assert len({tuple(x % n for x in m) for m, _ in grid}) == len(grid)
 
 
@@ -270,17 +271,17 @@ def test_character_modulus_bounded_by_dimension(name, k):
                     max_denominator=37))
 def test_rank1_denominator_closed_form(q):
     a1 = from_name("A1")
-    x = TorusPoint(a1.weight_from_root_coords([q / 2]))  # (alpha|x) = q
+    x = TorusPoint(references.weight_from_root_coords(a1, [q / 2]))  # (alpha|x) = q
     expected = 1 - cmath.exp(-2j * cmath.pi * float(q))
     assert abs(weyl_denominator(a1, x) - expected) < 1e-12
 
 
 def test_special_grid_mode_dispatch():
     a1 = from_name("A1")
-    assert chareval.special_grid(a1, 1, "shifted") == chareval.shifted_grid(a1, 1)
-    assert len(chareval.special_grid(a1, 1, "full")) == 6
+    assert [(label, x) for label, _, x in chareval._grid(a1, 1, "shifted")] == chareval.shifted_grid(a1, 1)
+    assert len(chareval._grid(a1, 1, "full")) == len(chareval.full_grid(a1, 1)) == 6
     with pytest.raises(ValueError):
-        chareval.special_grid(a1, 1, "diagonal")
+        chareval._grid(a1, 1, "diagonal")
 
 
 # -- the Fraction path: the reference for the residue kernel --------------------
@@ -338,8 +339,8 @@ def test_character_table_is_bitwise_the_fraction_path(name, k, mode):
     rs = from_name(name)
     table = conventions.character_table(rs, k, mode)
     assert table.weights == tuple(rootdata.weights_at_level(rs, k))
-    assert [(label, x) for label, x in chareval.special_grid(rs, k, mode)] == \
-        list(zip(table.labels, table.points))
+    grid = chareval.shifted_grid if mode == "shifted" else chareval.full_grid
+    assert grid(rs, k) == list(zip(table.labels, table.points))
     pref = 1.0 / rootdata.lattice_index(rs, k) / (weyl.weyl_order(rs) if mode == "full" else 1)
     for t, x in enumerate(table.points):
         assert table.regular[t] == is_regular(rs, x) == fraction_is_regular(rs, x)

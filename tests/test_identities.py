@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import references
 from alcove import conventions, identities, rootdata, verify, weyl
 from alcove.identities import (PoleError, fundamental_formula_residual,
                                orthogonality_matrix, random_rational_point,
@@ -16,8 +17,8 @@ def point(rs, coords):
 
 def test_fundamental_formula_rank1_example():
     a1 = from_name("A1")
-    x = TorusPoint(a1.weight_from_root_coords([Fraction(1, 10)]))  # (alpha|x) = 1/5
-    y = TorusPoint(a1.weight_from_root_coords([Fraction(1, 14)]))  # (alpha|y) = 1/7
+    x = TorusPoint(references.weight_from_root_coords(a1, [Fraction(1, 10)]))  # (alpha|x) = 1/5
+    y = TorusPoint(references.weight_from_root_coords(a1, [Fraction(1, 14)]))  # (alpha|y) = 1/7
     assert abs(fundamental_formula_residual(a1, x, y)) < 1e-9
 
 
@@ -46,7 +47,7 @@ def test_fundamental_formula_random_points(name, samples, tol):
 
 def test_fundamental_formula_pole_detection():
     a1 = from_name("A1")
-    regular = TorusPoint(a1.weight_from_root_coords([Fraction(1, 10)]))
+    regular = TorusPoint(references.weight_from_root_coords(a1, [Fraction(1, 10)]))
     with pytest.raises(PoleError):
         fundamental_formula_residual(a1, point(a1, [0]), regular)
     # middle-factor pole: (lam|x) = 1/3 and (lam|y) = 2/3 sum to an integer

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import references
 from alcove import affine, chareval, identities, levelshift, rootdata, stabilizers, weyl
 from alcove.levelshift import (make_witness, regular_lattice_points,
                                shift_rule_residual, wall_witnesses)
@@ -12,13 +13,8 @@ from alcove.rootdata import TorusPoint, from_name, inner
 def lattice_exponential_is_one(rs, witness, x):
     """Exact check that (k+h^v) <nu(v), x> is an integer angle."""
     n = witness.k + rs.dual_coxeter
-    angle = n * inner(rs, rs.coroot_to_weight_space(witness.v), x.mu_star)
+    angle = n * inner(rs, references.coroot_to_weight_space(rs, witness.v), x.mu_star)
     return angle.denominator == 1
-
-
-def affine_reflection_theta(rs):
-    """Reflection through (theta|x) = k: s_theta followed by translation by theta^v."""
-    return affine.AffineWeylElement(affine.reflection_in_root(rs, rs.highest_root), rs.comarks)
 
 
 def wall_faces(rs):
@@ -28,7 +24,7 @@ def wall_faces(rs):
 def test_trivial_witness_has_zero_residual():
     rs = from_name("A1")
     fd = wall_faces(rs)[0]
-    ident_wit = make_witness(rs, fd, affine.identity_affine(rs),
+    ident_wit = make_witness(rs, fd, references.identity_affine(rs),
                              weyl.identity_element(rs), 1, rs.fundamental_weight(0))
     assert ident_wit.v == (0,)
     x = regular_lattice_points(rs, 1)[0]
@@ -39,7 +35,7 @@ def test_a1_wall_generator_exponential_is_one_on_lattice():
     # e^{(k+h^v) v} at m/(k+h^v): the angle 3<theta^v, m/3> is an integer
     rs = from_name("A1")
     fd = wall_faces(rs)[0]
-    wit = make_witness(rs, fd, affine_reflection_theta(rs),
+    wit = make_witness(rs, fd, references.affine_reflection_theta(rs),
                        affine.reflection_in_root(rs, rs.highest_root), 1,
                        rs.fundamental_weight(0))
     assert wit.v == rs.comarks
@@ -50,11 +46,11 @@ def test_a1_wall_generator_exponential_is_one_on_lattice():
 def test_exponential_fails_off_lattice():
     rs = from_name("A1")
     fd = wall_faces(rs)[0]
-    wit = make_witness(rs, fd, affine_reflection_theta(rs),
+    wit = make_witness(rs, fd, references.affine_reflection_theta(rs),
                        affine.reflection_in_root(rs, rs.highest_root), 1,
                        rs.fundamental_weight(0))
     n = 1 + rs.dual_coxeter
-    off = TorusPoint(rs.coroot_to_weight_space(rs.lattice_Mstar_basis[0])
+    off = TorusPoint(references.coroot_to_weight_space(rs, rs.lattice_Mstar_basis[0])
                      .scale(Fraction(1, n + 1)))
     assert not lattice_exponential_is_one(rs, wit, off)
 
@@ -104,7 +100,7 @@ def test_lattice_form_fails_off_lattice(name):
             continue
         m = tuple(sum(c * row[i] for c, row in zip(coeffs, rs.lattice_Mstar_basis))
                   for i in range(rs.rank))
-        x = TorusPoint(rs.coroot_to_weight_space(m).scale(Fraction(1, n + 1)))
+        x = TorusPoint(references.coroot_to_weight_space(rs, m).scale(Fraction(1, n + 1)))
         if chareval.is_regular(rs, x):
             probes.append(x)
     for fd in wall_faces(rs):
@@ -121,7 +117,7 @@ def test_witness_rejects_mismatched_pair():
     rs = from_name("A1")
     fd = wall_faces(rs)[0]
     with pytest.raises(affine.MismatchError):
-        make_witness(rs, fd, affine_reflection_theta(rs),
+        make_witness(rs, fd, references.affine_reflection_theta(rs),
                      weyl.identity_element(rs), 1, rs.zero_weight())
 
 
@@ -148,7 +144,7 @@ def test_witness_shift_row_is_the_fraction_image_of_v(name):
     count = 0
     for fd in wall_faces(rs):
         for wit in wall_witnesses(rs, fd, 1, rs.zero_weight()):
-            nu = rs.coroot_to_weight_space(wit.v).coords
+            nu = references.coroot_to_weight_space(rs, wit.v).coords
             assert all(c.denominator == 1 for c in nu)
             assert wit.rows[1] == tuple(map(int, nu))
             count += 1

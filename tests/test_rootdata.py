@@ -1,12 +1,15 @@
+import ast
 from fractions import Fraction
 from itertools import permutations
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import references
 from alcove import intlinalg, rootdata
 from alcove.rootdata import ConfigurationError, build_root_system, from_name, inner
 
@@ -58,7 +61,7 @@ def test_highest_root_normalization(name):
     for beta in rs.positive_roots:
         assert all(b <= t for b, t in zip(rs.root_coords(beta), rs.root_coords(theta)))
     # marks expand theta, comarks expand theta^v
-    assert rs.weight_from_root_coords(rs.marks) == theta
+    assert references.weight_from_root_coords(rs, rs.marks) == theta
     assert tuple(rs.coroot_of(theta)) == tuple(Fraction(c) for c in rs.comarks)
 
 
@@ -69,7 +72,7 @@ def test_roots_pair_integrally_with_coroots(name):
         assert beta.is_integral  # weight coordinates are the coroot pairings
         rc = rs.root_coords(beta)
         assert all(c.denominator == 1 and c >= 0 for c in rc)
-        assert rs.weight_from_root_coords(rc) == beta
+        assert references.weight_from_root_coords(rs, rc) == beta
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -120,7 +123,7 @@ def test_rank_cap_refuses_before_building(monkeypatch):
 def test_integer_tables_equal_the_fraction_references(name):
     rs = from_name(name)
     assert rs.positive_root_coords == tuple(rootdata._positive_root_closure(rs.cartan))
-    expected = [rs.weight_from_root_coords(rc) for rc in rs.positive_root_coords]
+    expected = [references.weight_from_root_coords(rs, rc) for rc in rs.positive_root_coords]
     assert rs.root_rows == tuple(tuple(int(c) for c in beta.coords) for beta in expected)
     assert list(rs.positive_roots) == expected and rs.highest_root == expected[-1]
     out = rs.to_json_dict()
@@ -135,15 +138,45 @@ def test_integer_tables_equal_the_fraction_references(name):
     assert rs.gram_of_M() == rs.gram_coroots
 
 
+# Names only tests read: no alcove module defines them, and all but the deleted wrapper
+# special_grid live once in tests/references.py.
+TEST_REFERENCES = {"find_alcove", "AlcovePoint", "alcove_certificate", "longest_element", "affine_act",
+                   "identity_affine", "simple_reflection", "act_on_coroot_coords", "_coroot_action",
+                   "compose", "affine_from_finite", "affine_reflection_theta",
+                   "weight_from_root_coords", "coroot_to_weight_space", "special_grid"}
+
+
+def test_library_defines_no_test_reference_and_one_fraction_inverse():
+    """The library holds only what a subcommand or suite runs; its one Fraction inverse is inv_cartan."""
+    from alcove import affine
+    defined, inverses = set(), []
+    for path in sorted(Path(rootdata.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = {tree: ()}  # each node's enclosing class and function names
+        for node in ast.walk(tree):
+            named = isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            if named:
+                defined.add(node.name)
+            for child in ast.iter_child_nodes(node):
+                scopes[child] = scopes[node] + ((node.name,) if named else ())
+            func = getattr(node, "func", None)
+            if getattr(func, "attr", getattr(func, "id", None)) == "mat_inverse":
+                inverses.append((path.stem, ".".join(scopes[node])))
+    assert defined & TEST_REFERENCES == set()
+    assert "__mul__" not in vars(affine.AffineWeylElement)
+    assert TEST_REFERENCES - {"special_grid"} <= set(vars(references))
+    assert inverses == [("rootdata", "RootSystem.inv_cartan")]
+
+
 def test_library_reads_the_integer_tables_only(monkeypatch):
-    # weight_from_root_coords and root_coords are references; with both made to fail,
-    # building systems, their JSON, character and fusion tables, folds and W still run
+    # root_coords is a reference; with it made to fail, building systems, their JSON,
+    # character and fusion tables, folds and W still run; weight_from_root_coords is test-side only
     from alcove import conventions, verlinde, weyl
 
     def fraction_roots(*args):
         raise AssertionError("the library read a root through the Fraction inverse Cartan matrix")
 
-    monkeypatch.setattr(rootdata.RootSystem, "weight_from_root_coords", fraction_roots)
+    assert not hasattr(rootdata.RootSystem, "weight_from_root_coords")
     monkeypatch.setattr(rootdata.RootSystem, "root_coords", fraction_roots)
     for cached in (build_root_system, conventions._character_table, weyl._skeleton,
                    weyl._enumerate_cached):
@@ -212,13 +245,13 @@ def test_lattice_index_against_coset_closure(name, k):
 def test_longest_element_examples():
     from alcove import affine
     a1 = from_name("A1")
-    assert affine.longest_element(a1).word == (0,)
+    assert references.longest_element(a1).word == (0,)
     a2 = from_name("A2")
-    wl = affine.longest_element(a2)
+    wl = references.longest_element(a2)
     assert len(wl.word) == 3
     assert affine.act(wl, a2.simple_root(0)) == -a2.simple_root(1)
     b2 = from_name("B2")
-    wl = affine.longest_element(b2)
+    wl = references.longest_element(b2)
     for i in range(2):
         assert affine.act(wl, b2.fundamental_weight(i)) == -b2.fundamental_weight(i)
 
@@ -275,19 +308,19 @@ def test_simple_roots_equal_root_coordinate_reference(name):
     rs = from_name(name)
     for i in range(rs.rank):
         e_i = [int(i == j) for j in range(rs.rank)]
-        assert rs.simple_root(i) == rs.weight_from_root_coords(e_i)
+        assert rs.simple_root(i) == references.weight_from_root_coords(rs, e_i)
 
 
 def test_weight_coordinate_roundtrip():
     rs = from_name("G2")
     for w in rs.positive_roots:
         assert rs.weight_from_coords(w.coords) == w
-        assert rs.weight_from_root_coords(rs.root_coords(w)) == w
+        assert references.weight_from_root_coords(rs, rs.root_coords(w)) == w
     # records are immutable and hash by value
     from alcove import affine, conventions, verify, weyl
     rs = from_name("A2")
     lam = rs.weight_from_coords([1, 2])
-    w = affine.longest_element(rs)
+    w = references.longest_element(rs)
     table = conventions.character_table(rs, 1)
     for record, field in [(lam, "coords"), (w, "sign"), (table, "weights"),
                           (verify.Settings(), "seed")]:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+import references
 from alcove import affine, intlinalg, rootdata, stabilizers, weyl
 from alcove.rootdata import TorusPoint, from_name, inner
 from alcove.stabilizers import DomainError, enumerate_faces, face_data
@@ -126,7 +127,7 @@ def test_rho_shift_off_wall_difference_is_minus_root():
     mu = TorusPoint(rs.fundamental_weight(1).scale(Fraction(1, 3)))  # alpha_0 wall only
     fd = face_data(rs, mu)
     assert fd.delta0 == (0,) and not fd.on_affine_wall
-    s0 = affine.simple_reflection(rs, 0)
+    s0 = references.simple_reflection(rs, 0)
     shift = stabilizers.rho_shift(rs, fd, s0)
     assert shift.sub_difference == -rs.simple_root(0)
     assert shift.full_difference == -rs.simple_root(0)
@@ -137,7 +138,7 @@ def test_rho_shift_rejects_non_generators():
     mu = TorusPoint(rs.fundamental_weight(1).scale(Fraction(1, 3)))
     fd = face_data(rs, mu)
     with pytest.raises(DomainError):
-        stabilizers.rho_shift(rs, fd, affine.simple_reflection(rs, 1))
+        stabilizers.rho_shift(rs, fd, references.simple_reflection(rs, 1))
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
@@ -192,14 +193,31 @@ def test_lattice_phase_shifts_are_computed_once_per_face_and_level(monkeypatch):
         for fd in faces for row in rows)
 
 
+@pytest.mark.parametrize("name", ["A1", "B2", "G2"])
+def test_lattice_phase_suite_probes_each_level_off_the_lattice(name, monkeypatch):
+    # like C4, the suite probes level k off the lattice at k itself, for k = 1, 2, 3
+    from alcove import verify
+    check, probed = stabilizers.lattice_phase_check, set()
+
+    def recording(rs, fd, k, t, require_lattice=True):
+        if not require_lattice:
+            probed.add(k)
+        return check(rs, fd, k, t, require_lattice)
+
+    monkeypatch.setattr(stabilizers, "lattice_phase_check", recording)
+    [rep] = verify.lattice_phase_suite(from_name(name), verify.Settings())
+    assert probed == {1, 2, 3}
+    assert rep.passed and rep.detail["off_lattice_probe_failed"]
+
+
 def test_library_reads_nu_in_integers_only(monkeypatch):
-    # the Fraction nu, coroot_of and coroot_to_weight_space, and gram_weights are test
-    # references; with all three made to fail, faces, lifts, alcoves and phases still run
+    # the Fraction nu, coroot_of and gram_weights are test references; with both made to
+    # fail, faces, lifts, alcoves and phases still run; coroot_to_weight_space is test-side only
     def fraction_nu(*args):
         raise AssertionError("the library read the Fraction nu")
 
+    assert not hasattr(rootdata.RootSystem, "coroot_to_weight_space")
     monkeypatch.setattr(rootdata.RootSystem, "coroot_of", fraction_nu)
-    monkeypatch.setattr(rootdata.RootSystem, "coroot_to_weight_space", fraction_nu)
     stabilizers.stabilizer_subgroup.cache_clear()
     stabilizers._phase_shifts.cache_clear()
     for rs in map(from_name, ["A2", "B2", "G2", "B3"]):
@@ -207,14 +225,14 @@ def test_library_reads_nu_in_integers_only(monkeypatch):
         n = 1 + rs.dual_coxeter
         for _, fd in enumerate_faces(rs):
             for _, aff in stabilizers.stabilizer_subgroup(rs, fd):
-                assert affine.affine_act(rs, aff, fd.mu, 1) == fd.mu
+                assert references.affine_act(rs, aff, fd.mu, 1) == fd.mu
             for _, fin, _ in stabilizers.stabilizer_generators(rs, fd):
                 stabilizers.rho_shift(rs, fd, fin)
             assert all(stabilizers.lattice_phase_check(rs, fd, 1, tuple(Fraction(x, n) for x in row))
                        for row in rs.lattice_Mstar_basis)
         x = TorusPoint(rs.weight_from_coords([Fraction(7, 3)] + [Fraction(-5, 2)] * (rs.rank - 1)))
-        g, ap = affine.find_alcove(rs, 2, x)
-        assert not g.is_identity and affine.affine_act(rs, g, x, 2) == ap.point
+        g, ap = references.find_alcove(rs, 2, x)
+        assert not g.is_identity and references.affine_act(rs, g, x, 2) == ap.point
 
 
 @pytest.mark.parametrize("name", FACE_SYSTEMS)
@@ -251,7 +269,7 @@ def test_stabilizer_subgroup_is_closed_and_paired():
             for fin, aff in pairs:
                 # each lift fixes the face point at level 1, its translation is the
                 # Fraction reference nu^-1(mu - w mu) = gram_weights (mu - w mu) ...
-                assert affine.affine_act(rs, aff, fd.mu, 1) == fd.mu
+                assert references.affine_act(rs, aff, fd.mu, 1) == fd.mu
                 assert aff.translation == intlinalg.mat_vec(rs.gram_weights, (mu - affine.act(fin, mu)).coords)
                 # ... and factors through its finite part with translation in M
                 assert rs.in_lattice_M(affine.factor_affine(rs, aff, fin))
@@ -261,23 +279,22 @@ def test_stabilizer_subgroup_is_closed_and_paired():
             assert len(keys) == len(pairs) and pairs[0][1].is_identity
             for label, fin, gen in stabilizers.stabilizer_generators(rs, fd):
                 for _, aff in pairs:
-                    product = gen * aff
+                    product = references.compose(gen, aff)
                     assert (product.finite.action, product.translation) in keys
                 if label == "affine":  # s_theta, then translation by theta^v
-                    assert gen == affine.AffineWeylElement(
-                        affine.reflection_in_root(rs, rs.highest_root), rs.comarks)
+                    assert gen == references.affine_reflection_theta(rs)
                 else:
-                    assert gen == affine.AffineWeylElement(fin, (0,) * rs.rank)
+                    assert gen == references.affine_from_finite(fin, rs.rank)
 
 
 def reference_closure(rs, fd):
     """(finite action, translation) of each element the generators' lifts generate, by closure."""
     gens = [gen for _, _, gen in stabilizers.stabilizer_generators(rs, fd)]
-    identity = affine.identity_affine(rs)
+    identity = references.identity_affine(rs)
     group, seen = [identity], {(identity.finite.action, identity.translation)}
     for g in group:  # a queue that grows while it is walked
         for gen in gens:
-            product = gen * g
+            product = references.compose(gen, g)
             key = (product.finite.action, product.translation)
             if key not in seen:
                 seen.add(key)

