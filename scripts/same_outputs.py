@@ -42,6 +42,10 @@ DEFAULT_JOBS = (
     "verify --series G --rank 2 --level 1 --seed 7",
     # a large Weyl group and the CSV forms
     "grid --series E --rank 6 --level 1",
+    # more Weyl sums over F4, and fusion tables whose contraction fills shared pair rows
+    # (E6 k=1 below, with the contragredients)
+    "grid --series F --rank 4 --level 2",
+    "fusion --series A --rank 3 --level 3",
     # the Weyl element list streamed at |W| = 51,840 (45 MB of JSON) and 1,920
     "roots --series E --rank 6 --elements",
     "roots --series D --rank 5 --elements",
@@ -71,7 +75,8 @@ DEFAULT_JOBS = (
     "verify --series C --rank 3 --level 1",
     "verify --series B --rank 3 --level 1",
     # the full grid's |W| scale in the orthogonality suite (exit 1 by design), and
-    # the level-shift rule at D4, the largest group verify admits (about 25 s)
+    # the level-shift rule at D4, the largest group verify admits (about 25 s),
+    # whose identity suites read weyl.orbit's columns through weyl_pullbacks (exit 1)
     "verify --level 1 --grid full",
     "verify --series D --rank 4 --level 1",
     # one character at a regular point, at the identity and at a singular point (exit 2)

@@ -10,12 +10,13 @@ point's own normal form (x.y, x.m); a level-k grid takes m = k + h^v at every
 point, so one N and one phase table serve it.  r / N is the same double for any
 such N: the correctly rounded reduced angle.  One per-point routine gives the
 Weyl denominator, regularity and the characters: sums of sign(w) phase((w a) . v)
-over the signed orbit of a = lam + rho.  Every Weyl sum walks weyl.orbit in
-enumerate_weyl order; the localization sum and the identities read h_w = w^T v
-off the orbits of the fundamental weights.  The independent references are the
-Fraction evaluations in tests/test_chareval.py, which every value equals
-bitwise, reference_enumeration in tests/test_weyl.py, and the Fraction
-coordinate helpers in tests/references.py.
+over the signed orbit of a = lam + rho.  Every Weyl sum reads weyl.orbit's
+columns in enumerate_weyl order: (w a) . v is summed one coordinate column at
+a time, with no tuple per element.  The localization sum and the identities
+read h_w = w^T v off the orbit columns of the fundamental weights.  The
+independent references are the Fraction evaluations in tests/test_chareval.py,
+which every value equals bitwise, reference_enumeration in tests/test_weyl.py,
+and the Fraction coordinate helpers in tests/references.py.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def row_residues(rows, v) -> list[int]:
 def weyl_pullbacks(rs: RootSystem, v) -> list[tuple[int, ...]]:
     """h_w = w.action^T v for each w in enumerate_weyl order: entry j is (w Lambda_j) . v."""
     units = [[int(i == j) for i in range(rs.rank)] for j in range(rs.rank)]
-    return list(zip(*([sum(map(mul, u, v)) for _, u in weyl.orbit(rs, e)] for e in units)))
+    return list(zip(*[list(_column_dot(weyl.orbit(rs, e)[1], v)) for e in units]))  # one orbit at a time
 
 
 def phase(r: int, n: int) -> complex:
@@ -100,19 +101,23 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     return num // den
 
 
+def _column_dot(columns, v):
+    """(w a) . v for each w, lazily, from the coordinate columns of the orbit of a."""
+    r = map(mul, columns[0], repeat(v[0]))
+    for column, vj in zip(columns[1:], v[1:]):
+        r = map(add, r, map(mul, column, repeat(vj)))
+    return r
+
+
 def _shifted_orbits(rs: RootSystem, lams) -> list:
     """(signs, coordinate columns) of the signed Weyl orbits of rho and of each lam + rho."""
-    orbits = (zip(*weyl.orbit(rs, [int(c) + 1 for c in a.coords]))
-              for a in (rs.zero_weight(), *lams))
-    return [(signs, list(zip(*images))) for signs, images in orbits]
+    return [weyl.orbit(rs, [int(c) + 1 for c in a.coords]) for a in (rs.zero_weight(), *lams)]
 
 
 def _alternating_sum(orbit, n: int, v, phases) -> complex:
     """sum of sign(w) e^{w a} over W, in enumerate_weyl order, at the point with residues (n, v)."""
     signs, columns = orbit
-    r = map(mul, columns[0], repeat(v[0]))  # (w a) . v, one coordinate at a time
-    for column, vj in zip(columns[1:], v[1:]):
-        r = map(add, r, map(mul, column, repeat(vj)))
+    r = _column_dot(columns, v)
     return reduce(add, map(mul, signs, map(phases, map(n.__rmod__, r))), 0j)
 
 

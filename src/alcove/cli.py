@@ -89,9 +89,10 @@ def cmd_fusion(args: SimpleNamespace) -> int:
         return EXIT_INTEGRITY
     labels = [_weight_label(lam) for lam in weights]
     order = sorted(range(len(labels)), key=labels.__getitem__)  # labels are distinct
-    # (a, b, N_ab^* by position in weights) in label order
+    # (a, b, N_ab^* by position in weights) in label order, made as they are written:
+    # one generator, since only one format reads them
     slabs = ([(_weight_label(a), _weight_label(b), list(row.values()))] if args.pair else
-             [(labels[a], labels[b], table.dense[a][b]) for a in order for b in order])
+             ((labels[a], labels[b], table.dense[a][b]) for a in order for b in order))
     payload = {"schema": "alcove/fusion/v1", "system": f"{args.series}{args.rank}",
                "level": args.level,
                "triples": ({"a": a, "b": b, "c": labels[c], "n": ns[c]}

@@ -135,7 +135,7 @@ def stabilizer_subgroup(rs: RootSystem, fd: FaceData) -> tuple[tuple[WeylElement
     """
     (d, gram), (a, m) = rs.nu_inverse, fd.mu
     members = []
-    for w, (_, wa) in zip(weyl.enumerate_weyl(rs), weyl.orbit(rs, a)):
+    for w, wa in zip(weyl.enumerate_weyl(rs), zip(*weyl.orbit(rs, a)[1])):
         diff = list(map(sub, a, wa))
         if not any(map(m.__rmod__, diff)) and not any(sum(map(mul, row, diff)) % (d * m) for row in gram):
             members.append((w, affine.lift(rs, w, fd.mu, fd.mu, 1)))

@@ -28,7 +28,10 @@ ExtractionResult = namedtuple("ExtractionResult", "multiplicities max_residual")
 
 
 class FusionTable(namedtuple("FusionTable", "k weights max_residual dense")):
-    """Fusion coefficients; dense[a][b][c] is N_ab^c by position in weights."""
+    """Fusion coefficients; dense[a][b][c] is N_ab^c by position in weights.
+
+    One row serves both orders of a pair: dense[b][a] is dense[a][b].
+    """
 
     __slots__ = ()
 
@@ -120,14 +123,22 @@ def check_fusion_size(rs: RootSystem, k: int) -> int:
 
 
 def fusion_table(rs: RootSystem, k: int, grid_mode: str | None = None) -> FusionTable:
-    """Complete fusion table, with unit and symmetry invariants verified."""
+    """Complete fusion table; the unit law is verified.
+
+    N_ab^c = N_ba^c holds by construction: the unordered pair {a, b} has one
+    row, so dense[b][a] is dense[a][b].
+    """
     n = check_fusion_size(rs, k)
     table = conventions.character_table(rs, k, grid_mode)
     star = [table.weights.index(contragredient(rs, lam)) for lam in table.weights]
     above = [[d for d in range(n) if star[d] >= b] for b in range(n)]  # channels d = c*, c >= b
-    dense = [[[0] * n for _ in range(n)] for _ in range(n)]
+    dense = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            dense[a][b] = dense[b][a] = [0] * n
     worst = 0.0
-    # N_ab^{c*} is symmetric in a, b and c: contract each a <= b <= c once, write its six images
+    # N_ab^{c*} is symmetric in a, b and c: contract each a <= b <= c once and write its
+    # three images, one in each of the rows {a, b}, {a, c} and {b, c}
     for a in range(n):
         for b in range(a, n):
             row_a, row_b = table.values[a], table.values[b]
@@ -137,9 +148,7 @@ def fusion_table(rs: RootSystem, k: int, grid_mode: str | None = None) -> Fusion
                 if m < 0:
                     raise InconsistentInputError(f"negative fusion coefficient at {table.weights[d]}")
                 c = star[d]
-                dense[a][b][d] = dense[b][a][d] = m
-                dense[a][c][star[b]] = dense[c][a][star[b]] = m
-                dense[b][c][star[a]] = dense[c][b][star[a]] = m
+                dense[a][b][d] = dense[a][c][star[b]] = dense[b][c][star[a]] = m
     unit = dense[table.weights.index(rs.zero_weight())]
     if any(unit[b][c] != (b == c) for b in range(n) for c in range(n)):
         raise AssertionError("unit law failed in fusion table")

@@ -3,17 +3,18 @@
 An element is one integer matrix on fundamental-weight coordinates, with its
 sign and a reduced word.  W is walked once, breadth-first by left
 multiplication with simple reflections, keyed by w(rho) (injective, as rho is
-regular), and cached as a skeleton: each element is s_i times an earlier one.
+regular), and cached as a skeleton of three flat columns (parents, letters,
+signs): element t is s_i times the earlier element parents[t], i = letters[t].
 Each word length is ordered by (i, index of the parent), which is word order,
 so the walk builds no words; only iter_weyl does.  orbit(rs, a) replays the
-skeleton on a; s_i(u) = u - u_i alpha_i changes only the coordinates on
-rs.supports[i], so each image costs O(rank).  iter_weyl replays it on the
-matrices (column j of w is w(Lambda_j)), rebuilding only the rows on that
-support, and yields the elements one at a time while holding only the last
-two word lengths; enumerate_weyl is its cached tuple.  Every descent is fold:
-integer coordinates reflected in the lowest violated wall, O(rank) per step.
-The affine group (reflections, lifts, factorization) is alcove.affine, which
-only the fixed-point checks import.
+skeleton on a into one column per coordinate, O(rank) per element, with no
+tuple per image; the signs column is the skeleton's own.  iter_weyl replays it
+on the matrices (column j of w is w(Lambda_j)), rebuilding only the rows on the
+support of alpha_i, and yields the elements one at a time while holding only
+the last two word lengths; enumerate_weyl is its cached tuple.  Every descent
+is fold: integer coordinates reflected in the lowest violated wall, O(rank)
+per step.  The affine group (reflections, lifts, factorization) is
+alcove.affine, which only the fixed-point checks import.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import islice
 from math import factorial
 from operator import mul
 
@@ -83,36 +85,33 @@ def order_formula(rs: RootSystem) -> int:
 
 
 @lru_cache(maxsize=None)
-def _skeleton(rs: RootSystem) -> tuple[tuple[int, int, int], ...]:
-    """W in enumerate_weyl order as (parent index, i, sign): element t is s_i * parent.
+def _skeleton(rs: RootSystem) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """W in enumerate_weyl order as columns (parents, letters, signs): element t is s_i * parent.
 
-    The identity is (-1, -1, 1); every parent comes before its children.  The
+    The identity's entries are -1, -1 and 1; every parent comes before its children.  The
     word of s_i * parent is (i,) + the parent's word, and the parents of one
     word length are in word order, so (i, parent index) sorts each length by word.
     """
     weyl_order(rs)
-    rho = (1,) * rs.rank
-    seen, skeleton = {rho}, [(-1, -1, 1)]
-    level = [(rho, 0)]  # (w(rho), index) in discovery order
+    parents, letters, signs = [-1], [-1], [1]
+    level = {(1,) * rs.rank: 0}  # w(rho) -> index of w, in discovery order
     while level:
-        found = []
-        for mu, t in level:
+        found = {}  # s_i w(rho) -> (i, index of w), kept from its first discovery
+        for mu, t in level.items():
             for i, support in enumerate(rs.supports):
                 if mu[i] < 0:  # s_i * w is shorter than w, so already seen
-                    continue
+                    continue  # else mu_i > 0 (w(rho) is regular): s_i * w is one longer
                 key = list(mu)  # s_i(mu) = mu - mu_i alpha_i
                 for k, a in support.items():
                     key[k] -= a * mu[i]
-                key = tuple(key)
-                if key not in seen:  # BFS: words come out geodesic, hence reduced
-                    seen.add(key)
-                    found.append((i, t, key))
-        sign, start = -skeleton[-1][2], len(skeleton)
-        ranked = sorted(found)  # the pairs (i, t) are distinct, so keys are never compared
-        skeleton.extend((t, i, sign) for i, t, _ in ranked)
-        index = {key: start + n for n, (_, _, key) in enumerate(ranked)}
-        level = [(key, index[key]) for _, _, key in found]
-    return tuple(skeleton)
+                found.setdefault(tuple(key), (i, t))  # BFS: words come out geodesic, hence reduced
+        ranked = sorted(found.values())  # the pairs (i, t) are distinct
+        index = {pair: len(parents) + n for n, pair in enumerate(ranked)}
+        letters.extend(i for i, _ in ranked)
+        parents.extend(t for _, t in ranked)
+        signs.extend([-signs[-1]] * len(ranked))
+        level = {key: index[pair] for key, pair in found.items()}  # discovery order, not word order
+    return tuple(parents), tuple(letters), tuple(signs)
 
 
 def iter_weyl(rs: RootSystem) -> Iterator[WeylElement]:
@@ -123,14 +122,14 @@ def iter_weyl(rs: RootSystem) -> Iterator[WeylElement]:
     children, so only the last two lengths are held.
     """
     weyl_order(rs)  # the group cap raises on every call, before the first element
-    skeleton, supports = _skeleton(rs), rs.supports
+    (parents, letters, signs), supports = _skeleton(rs), rs.supports
 
     def elements():
         w = identity_element(rs)
         yield w
         older, newer = {}, {0: w}
-        for t in range(1, len(skeleton)):
-            parent, i, sign = skeleton[t]
+        for t in range(1, len(signs)):
+            parent, i, sign = parents[t], letters[t], signs[t]
             if sign != w.sign:  # a new word length: its parents are the last length
                 older, newer = newer, {}
             w = older[parent]
@@ -153,24 +152,23 @@ def _enumerate_cached(rs: RootSystem) -> tuple[WeylElement, ...]:
     return tuple(iter_weyl(rs))
 
 
-def orbit(rs: RootSystem, a) -> list[tuple[int, tuple]]:
-    """[(sign(w), w a) for w in enumerate_weyl(rs)], a in fundamental-weight coordinates.
+def orbit(rs: RootSystem, a) -> tuple[tuple[int, ...], list[list[int]]]:
+    """(signs, columns): columns[k][t] is coordinate k of w a for the t-th w of enumerate_weyl(rs).
 
-    Replays the skeleton of W on a, O(rank) per element, without listing W
-    as matrices.
+    a is in fundamental-weight coordinates, and signs is the skeleton's own
+    column.  Replays the skeleton on a, O(rank) per element, appending to each
+    column: no image is held as a tuple, and W is never listed as matrices.
     """
-    supports = rs.supports
-    out = [(1, tuple(a))]
-    for parent, i, sign in _skeleton(rs)[1:]:
-        u = out[parent][1]
-        c = u[i]
-        if c:  # s_i(u) = u - u_i alpha_i
-            u = list(u)
-            for k, s in supports[i].items():
-                u[k] -= s * c
-            u = tuple(u)
-        out.append((sign, u))
-    return out
+    (parents, letters, signs), supports = _skeleton(rs), rs.supports
+    columns = [[c] for c in a]
+    for parent, i in zip(islice(parents, 1, None), islice(letters, 1, None)):
+        c = columns[i][parent]
+        for column in columns:  # off the support of alpha_i, w a shares the parent's int
+            column.append(column[parent])
+        if c:
+            for k, s in supports[i].items():  # s_i(u) = u - u_i alpha_i
+                columns[k][-1] -= s * c
+    return signs, columns
 
 
 def weyl_order(rs: RootSystem) -> int:

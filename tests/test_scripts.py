@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -50,3 +51,18 @@ def test_same_outputs_reports_a_changed_label_format(tmp_path):
     assert proc.returncode == 1
     assert "DIFF" in proc.stdout and "stdout differs at byte" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "2 of 2 jobs differ"
+
+
+def test_job_rss_reports_one_job_under_both_trees():
+    src = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "job_rss.py"), src, src,
+                           "--runs", "1", SHORT_JOBS[0]], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, floor, job, workload = proc.stdout.splitlines()
+    assert header.split()[0] == "job" and header.endswith("(1 runs)")
+    assert floor.split()[0] == "floor" and job.startswith(SHORT_JOBS[0] + " ")
+    fields = job[len(SHORT_JOBS[0]):].split()  # the medians of one run, then the exit codes
+    assert float(fields[0]) > 1 and float(fields[3]) > 1 and fields[-1] == "0/0"
+    medians = re.escape(f"{fields[0]} -> {fields[3]}")
+    assert re.fullmatch(rf"workload jobs: largest job median {medians} MB \([+-]\d+\.\d\d\)", workload)

@@ -143,6 +143,18 @@ def test_fusion_pair_rows_equal_the_table(name, k, mode):
             assert list(row.values()) == table.dense[i][j]
 
 
+@pytest.mark.parametrize("name,k", [("A2", 3), ("A3", 2), ("B2", 2), ("G2", 2), ("D4", 1),
+                                    ("E6", 1)])
+def test_each_unordered_pair_keeps_one_row(name, k):
+    rs = from_name(name)
+    table = fusion_table(rs, k)
+    ws = table.weights
+    for i, a in enumerate(ws):
+        for j, b in enumerate(ws):
+            assert table.dense[i][j] is table.dense[j][i]
+            assert table.dense[i][j] == list(fusion_coefficients(rs, k, a, b).values())
+
+
 @pytest.mark.parametrize("factor,message", [(-1, "negative fusion coefficient at "),
                                             (0.5, "rounding residual ")])
 def test_inconsistent_fusion_rows_are_rejected(monkeypatch, factor, message):

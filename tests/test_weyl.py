@@ -131,7 +131,7 @@ def test_enumeration_equals_matrix_product_reference(name):
                                   "C3", "C4", "D4", "D5", "E6", "F4", "G2"])
 def test_skeleton_equals_the_word_carrying_reference(name):
     rs = from_name(name)
-    assert weyl._skeleton(rs) == reference_skeleton(rs)
+    assert tuple(zip(*weyl._skeleton(rs))) == reference_skeleton(rs)  # columns, read row by row
 
 
 @pytest.mark.parametrize("name", ["D5", "F4"])
@@ -175,23 +175,27 @@ def test_e6_enumeration():
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3",
-                                  "C4", "D4", "D5", "G2", "F4"])
+                                  "C4", "D4", "D5", "E6", "F4", "G2"])
 def test_orbit_is_the_signed_image_under_enumerate_weyl(name):
     rs = from_name(name)
     group = weyl.enumerate_weyl(rs)
     for a in (rs.rho, rs.highest_root, rs.fundamental_weight(rs.rank - 1) + rs.rho):
-        expected = [(w.sign, affine.act(w, a).coords) for w in group]
-        got = weyl.orbit(rs, [int(c) for c in a.coords])
-        assert got == expected
-        assert all(type(x) is int for _, u in got for x in u)
+        coords = [int(c) for c in a.coords]
+        signs, columns = weyl.orbit(rs, coords)
+        assert signs is weyl._skeleton(rs)[2]  # shared, not copied
+        assert len(columns) == rs.rank and all(type(c) is list for c in columns)
+        images = [tuple(sum(map(mul, row, coords)) for row in w.action) for w in group]
+        assert list(zip(*columns)) == images
+        assert all(type(x) is int for column in columns for x in column)
+    assert signs == tuple(w.sign for w in group)
 
 
 def test_e6_orbit_of_rho():
     rs = from_name("E6")
-    orbit = weyl.orbit(rs, (1,) * 6)
-    assert len(orbit) == 51840
-    assert len({u for _, u in orbit}) == 51840  # rho is regular: a free orbit
-    assert sum(sign for sign, _ in orbit) == 0
+    signs, columns = weyl.orbit(rs, (1,) * 6)
+    assert len(signs) == 51840 and all(len(column) == 51840 for column in columns)
+    assert len(set(zip(*columns))) == 51840  # rho is regular: a free orbit
+    assert sum(signs) == 0
 
 
 def test_enumeration_cap(monkeypatch):
@@ -511,7 +515,8 @@ def test_folded_words_are_reduced_on_e7_and_e8(name):
 def test_fold_undoes_the_orbit_with_its_sign(name):
     rs = from_name(name)
     lam = tuple(range(1, rs.rank + 1))
-    for sign, u in weyl.orbit(rs, lam):
+    signs, columns = weyl.orbit(rs, lam)
+    for sign, u in zip(signs, zip(*columns)):
         walls, image = weyl.fold(rs, u)
         assert image == lam and (-1) ** len(walls) == sign
 
